@@ -120,20 +120,21 @@ def class_number_upper_bound(p: int) -> float:
     return ((1 + pi) / pi**2) * sp * ln4p + (2 / pi**2) * sp * math.log(ln4p) + (2 / pi) * sp
 
 
-def iteration_bounds(p: int) -> tuple[float, float]:
+def iteration_bounds(p: float, bits: float | None = None) -> tuple[float, float]:
     """The sandwich around sqrt(2p / h(d)).
 
     Lower end: sqrt(2) pi p^{1/4} / sqrt((pi+1) ln 4p + 2 ln ln 4p + 2 pi)
     (exact, natural logs, from the class-number upper bound).
-    Upper end: 4.251 p^{1/4} sqrt(log2 p), the printed constant with base-2
-    log matching its companions 2.622 and 8264.
+    Upper end: 4.251 p^{1/4} sqrt(bits), the printed constant with base-2
+    log matching its companions 2.622 and 8264; bits defaults to log2 p,
+    and the resource table passes its integer bit size n = ceil(log2 p).
     """
     pi = math.pi
     ln4p = math.log(4 * p)
     lower = math.sqrt(2) * pi * p**0.25 / math.sqrt(
         (pi + 1) * ln4p + 2 * math.log(ln4p) + 2 * pi
     )
-    upper = 4.251 * p**0.25 * math.sqrt(math.log2(p))
+    upper = 4.251 * p**0.25 * math.sqrt(math.log2(p) if bits is None else bits)
     return lower, upper
 
 

@@ -74,34 +74,14 @@ def _cubes_table(p: int) -> np.ndarray:
     return tbl
 
 
-@lru_cache(maxsize=32)
-def _fourth_table(p: int) -> np.ndarray:
-    x = np.arange(p, dtype=np.int64)
-    x4 = x * x % p
-    x4 = x4 * x4 % p
-    tbl = np.zeros(p, dtype=bool)
-    tbl[x4] = True
-    return tbl
-
-
-@lru_cache(maxsize=32)
-def _sixth_table(p: int) -> np.ndarray:
-    x = np.arange(p, dtype=np.int64)
-    x2 = x * x % p
-    x6 = x2 * x2 % p * x2 % p
-    tbl = np.zeros(p, dtype=bool)
-    tbl[x6] = True
-    return tbl
-
-
 class NonResidueTable:
     """The twist parameters alpha_2 (quadratic), alpha_4, alpha_6 for a prime.
 
     alpha_4 / alpha_6 are the smallest elements generating F_p*/(F_p*)^4
     resp. F_p*/(F_p*)^6 when those quotients are nontrivial (p = 1 mod 4 /
     mod 3); otherwise they fall back to the quadratic nonresidue.  A
-    generator is in particular a quartic / sextic nonresidue, which is
-    verified exhaustively at construction.
+    nonsquare generates the order-4 quotient, and a nonsquare noncube the
+    order-6 one, so each is in particular a quartic / sextic nonresidue.
     """
 
     __slots__ = ("alpha2", "alpha4", "alpha6")
@@ -116,19 +96,12 @@ class NonResidueTable:
         p = ctx.p
         sq = _squares_table(p)
         alpha2 = next(a for a in range(2, p) if not sq[a])
-        if p % 4 == 1:
-            # A nonsquare generates the order-4 quotient F_p*/(F_p*)^4.
-            alpha4 = alpha2
-            assert not _fourth_table(p)[alpha4]
-        else:
-            alpha4 = alpha2
         if p % 3 == 1:
             cubes = _cubes_table(p)
             alpha6 = next(a for a in range(2, p) if not sq[a] and not cubes[a])
-            assert not _sixth_table(p)[alpha6]
         else:
             alpha6 = alpha2
-        return cls(alpha2, alpha4, alpha6)
+        return cls(alpha2, alpha2, alpha6)
 
 
 def b_range(ctx: FpContext, j: int) -> int:
@@ -194,22 +167,11 @@ def j_invariant(ctx: FpContext, E: WeierstrassCurve) -> int:
     return 1728 * a3 % p * ctx.inv(disc) % p
 
 
-def chi(ctx: FpContext, v: int) -> int:
-    """Quadratic character with chi(0) = 0, via the cached squares table."""
-    v %= ctx.p
-    if v == 0:
-        return 0
-    return 1 if _squares_table(ctx.p)[v] else -1
-
-
 def count_points(ctx: FpContext, E: WeierstrassCurve) -> int:
     """#E(F_p) by the character sum 1 + sum_x (1 + chi(x^3+Ax+B))."""
-    p = ctx.p
-    x = np.arange(p, dtype=np.int64)
-    w = (x * x % p * x + E.A * x + E.B) % p
-    sq = _squares_table(p)
-    ch = np.where(w == 0, 0, np.where(sq[w], 1, -1))
-    return int(p + 1 + ch.sum())
+    A = np.array([E.A], dtype=np.int64)
+    B = np.array([E.B], dtype=np.int64)
+    return int(count_points_batch(ctx, A, B)[0])
 
 
 def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ multiplications), hence at most 80 multiplications per doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -24,10 +25,6 @@ class ParityMismatch(ValueError):
 
 class TwoTorsionAmbient(ArithmeticError):
     """w = 0: the x is a two-torsion abscissa, division by 2y is impossible."""
-
-
-class IndexOutOfRange(IndexError):
-    """base_psi index outside [-1, 14]."""
 
 
 class TwistedValue(NamedTuple):
@@ -127,51 +124,60 @@ def expected_parity(n: int) -> int:
     return 1 if (n % 2 == 0 and n != 0) else 0
 
 
+def psi_entry(m: int, k: int) -> tuple[bool, int, int]:
+    """How psi_m is made from a run of consecutive psi values starting at
+    psi_k: whether it is a g1 output (m odd) or a g2 output (m even), the
+    offset of its first input in the run, and the n of the recurrence."""
+    if m % 2:
+        n = (m - 1) // 2
+        return True, n - 1 - k, n
+    n = m // 2
+    return False, n - 2 - k, n
+
+
+def _psi3_psi4(mul, x, A, B, p):
+    """Yields the coefficient of psi_3, then that of psi_4 = c * y.
+
+    mul is the backend's product (billed or vectorised); a caller that needs
+    only psi_3 stops after the first value and pays for nothing more.
+    """
+    x2 = mul(x, x)
+    x4 = mul(x2, x2)
+    ax2 = mul(A, x2)
+    bx = mul(B, x)
+    a2 = mul(A, A)
+    yield (3 * x4 + 6 * ax2 + 12 * bx - a2) % p
+    x6 = mul(x4, x2)
+    ax4 = mul(A, x4)
+    bx3 = mul(bx, x2)
+    a2x2 = mul(a2, x2)
+    abx = mul(A, bx)
+    a3 = mul(a2, A)
+    b2 = mul(B, B)
+    inner = (2 * x6 + 10 * ax4 + 40 * bx3 - 10 * a2x2 - 8 * abx - 2 * a3 - 16 * b2) % p
+    yield 2 * inner % p
+
+
+def _g(amb: Ambient, v, entry: tuple[bool, int, int]) -> TwistedValue:
+    is_g1, off, _ = entry
+    return g1(amb, tuple(v[off:off + 4])) if is_g1 else g2(amb, tuple(v[off:off + 5]))
+
+
 def psi_sequence(amb: Ambient, upto: int) -> list[TwistedValue]:
     """psi_{-1} .. psi_upto by the direct recurrence; entry [i] is psi_{i-1}.
 
     This is the naive O(l) evaluation used both to seed base windows and as
     the reference the doubling schedule is checked against.
     """
-    ctx, p = amb.ctx, amb.ctx.p
-    x, A, B, w = amb.x, amb.A, amb.B, amb.w
-    ctr = amb.ctr
-
-    psi: list[TwistedValue] = [TwistedValue(p - 1, 0), TV_ZERO, TV_ONE]
-    if upto >= 2:
-        psi.append(TwistedValue(2 % p, 1))
-    if upto >= 3:
-        x2 = ctx.mul(x, x, ctr)
-        x4 = ctx.mul(x2, x2, ctr)
-        ax2 = ctx.mul(A, x2, ctr)
-        bx = ctx.mul(B, x, ctr)
-        a2 = ctx.mul(A, A, ctr)
-        psi.append(_tv((3 * x4 + 6 * ax2 + 12 * bx - a2) % p, 0))
-    if upto >= 4:
-        x6 = ctx.mul(x4, x2, ctr)
-        ax4 = ctx.mul(A, x4, ctr)
-        bx3 = ctx.mul(bx, x2, ctr)
-        a2x2 = ctx.mul(a2, x2, ctr)
-        abx = ctx.mul(A, bx, ctr)
-        a3 = ctx.mul(a2, A, ctr)
-        b2 = ctx.mul(B, B, ctr)
-        inner = (2 * x6 + 10 * ax4 + 40 * bx3 - 10 * a2x2 - 8 * abx - 2 * a3 - 16 * b2) % p
-        psi.append(_tv(2 * inner % p, 1))
+    ctx, ctr = amb.ctx, amb.ctr
+    psi = [TwistedValue(ctx.p - 1, 0), TV_ZERO, TV_ONE, TwistedValue(2, 1)]
+    base = _psi3_psi4(lambda a, b: ctx.mul(a, b, ctr), amb.x, amb.A, amb.B, ctx.p)
+    # zip stops on the range first, so upto = 3 never bills psi_4's products
+    for m, c in zip(range(3, upto + 1), base):
+        psi.append(_tv(c, expected_parity(m)))
     for m in range(5, upto + 1):
-        if m % 2:
-            n = (m - 1) // 2
-            psi.append(g1(amb, tuple(psi[n:n + 4])))
-        else:
-            n = m // 2
-            psi.append(g2(amb, tuple(psi[n - 1:n + 4])))
+        psi.append(_g(amb, psi, psi_entry(m, -1)))
     return psi[:upto + 2]
-
-
-def base_psi(amb: Ambient, n: int) -> TwistedValue:
-    """psi_n for n in [-1, 14]: explicit bases plus small-index recurrence."""
-    if not -1 <= n <= 14:
-        raise IndexOutOfRange(f"base_psi index {n} outside [-1, 14]")
-    return psi_sequence(amb, max(n, 1))[n + 1]
 
 
 @dataclass(frozen=True)
@@ -214,24 +220,21 @@ def base_window(amb: Ambient, base: int) -> PsiWindow:
     return PsiWindow(base, tuple(psi[base + 1:base + 11]))
 
 
-def window_double(amb: Ambient, win: PsiWindow, branch: int) -> PsiWindow:
-    """One doubling step: branch 1 maps base k to 2k+4, branch 2 to 2k+5."""
+@lru_cache(maxsize=256)  # the oracle walks the same steps at every x
+def double_step(k: int, branch: int) -> tuple[int, tuple[tuple[bool, int, int], ...]]:
+    """Plan of one doubling step from the window based at k: branch 1 maps
+    base k to 2k+4, branch 2 to 2k+5.  Returns the new base and, for each of
+    the 10 output entries, its psi_entry."""
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    k = win.base
     new_base = 2 * k + 4 if branch == 1 else 2 * k + 5
-    entries = []
-    for i in range(10):
-        m = new_base + i
-        if m % 2 == 0:
-            n = m // 2
-            off = n - 2 - k
-            entries.append(g2(amb, win.entries[off:off + 5]))
-        else:
-            n = (m - 1) // 2
-            off = n - 1 - k
-            entries.append(g1(amb, win.entries[off:off + 4]))
-    return PsiWindow(new_base, tuple(entries))
+    return new_base, tuple(psi_entry(new_base + i, k) for i in range(10))
+
+
+def window_double(amb: Ambient, win: PsiWindow, branch: int) -> PsiWindow:
+    """One doubling step of the scalar window."""
+    new_base, plan = double_step(win.base, branch)
+    return PsiWindow(new_base, tuple(_g(amb, win.entries, e) for e in plan))
 
 
 def eval_division_poly(
@@ -272,9 +275,9 @@ def eval_division_poly_direct(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation over many (A, B, x) ambients at once.  Same formulas
-# as above with the parity tracked structurally by index; products of two
-# elements of [0, p) with p < 2**31 fit in int64.
+# Vectorized evaluation over many (A, B, x) ambients at once.  Same base
+# formula and step plan as above, with the parity tracked structurally by
+# index; products of two elements of [0, p) with p < 2**31 fit in int64.
 # ---------------------------------------------------------------------------
 
 
@@ -289,11 +292,10 @@ def _vec_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def _vec_g1(v: list[np.ndarray], n: int, w: np.ndarray, p: int) -> np.ndarray:
+def _vec_g1(v: list[np.ndarray], n: int, w2: np.ndarray, p: int) -> np.ndarray:
     c_nm1, c_n, c_np1, c_np2 = v
     t1 = c_np2 * (c_n * c_n % p) % p * c_n % p
     t2 = c_nm1 * (c_np1 * c_np1 % p) % p * c_np1 % p
-    w2 = w * w % p
     if n % 2 == 0:
         t1 = t1 * w2 % p
     else:
@@ -317,34 +319,23 @@ class BatchAmbient:
         self.B = B % p
         self.x = x % p
         self.w = (self.x * self.x % p * self.x + self.A * self.x + self.B) % p
+        self.w2 = self.w * self.w % p
         self.inv2w = _vec_pow(2 * self.w % p, p - 2, p)
+
+    def _g(self, v: list[np.ndarray], entry: tuple[bool, int, int]) -> np.ndarray:
+        is_g1, off, n = entry
+        if is_g1:
+            return _vec_g1(v[off:off + 4], n, self.w2, self.p)
+        return _vec_g2(v[off:off + 5], self.w, self.inv2w, self.p)
 
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:
         """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
-        p, A, B, x, w = self.p, self.A, self.B, self.x, self.w
+        p, x = self.p, self.x
         one = np.ones_like(x)
-        psi = [(p - 1) * one % p, np.zeros_like(x), one]
-        if upto >= 2:
-            psi.append(2 * one % p)
-        if upto >= 3:
-            x2 = x * x % p
-            x4 = x2 * x2 % p
-            psi.append((3 * x4 + 6 * (A * x2 % p) + 12 * (B * x % p) - A * A) % p)
-        if upto >= 4:
-            x6 = x4 * x2 % p
-            a2 = A * A % p
-            bx = B * x % p
-            inner = (2 * x6 + 10 * (A * x4 % p) + 40 * (bx * x2 % p)
-                     - 10 * (a2 * x2 % p) - 8 * (A * bx % p) - 2 * (a2 * A % p)
-                     - 16 * (B * B % p)) % p
-            psi.append(2 * inner % p)
+        psi = [(p - 1) * one, np.zeros_like(x), one, 2 * one]
+        psi.extend(_psi3_psi4(lambda a, b: a * b % p, x, self.A, self.B, p))
         for m in range(5, upto + 1):
-            if m % 2:
-                n = (m - 1) // 2
-                psi.append(_vec_g1(psi[n:n + 4], n, w, p))
-            else:
-                n = m // 2
-                psi.append(_vec_g2(psi[n - 1:n + 4], w, self.inv2w, p))
+            psi.append(self._g(psi, psi_entry(m, -1)))
         return psi[:upto + 2]
 
     def eval(self, ell: int) -> np.ndarray:
@@ -352,23 +343,10 @@ class BatchAmbient:
         if ell < 1:
             raise ValueError("ell must be >= 1")
         sched = make_schedule(ell)
-        base = sched.sigmas[-1]
-        psi = self.psi_coeffs(base + 9)
-        win = psi[base + 1:base + 11]
-        k = base
+        k = sched.sigmas[-1]
+        win = self.psi_coeffs(k + 9)[k + 1:]
         for branch in sched.branch_bits:
-            new_base = 2 * k + 4 if branch == 1 else 2 * k + 5
-            out = []
-            for i in range(10):
-                m = new_base + i
-                if m % 2 == 0:
-                    n = m // 2
-                    off = n - 2 - k
-                    out.append(_vec_g2(win[off:off + 5], self.w, self.inv2w, self.p))
-                else:
-                    n = (m - 1) // 2
-                    off = n - 1 - k
-                    out.append(_vec_g1(win[off:off + 4], n, self.w, self.p))
-            win, k = out, new_base
+            k, plan = double_step(k, branch)
+            win = [self._g(win, e) for e in plan]
         assert k == ell
         return win[0]

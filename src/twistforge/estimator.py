@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import curves, forgery
+from . import classnum, curves, forgery
 from .curves import NonResidueTable
 from .fp_arith import FpContext, MultCounter
 from .forgery import OracleConfig, SerialNumber
@@ -38,18 +38,6 @@ class ResourceReport:
     log_base: str = "log2 for n-dependent counts"
 
 
-def _iteration_ends(p: float, n: int) -> tuple[float, float]:
-    """Iteration sandwich at real p; lower end exact (natural logs), upper
-    end 4.251 p^{1/4} sqrt(log2 p)."""
-    pi = math.pi
-    ln4p = math.log(4 * p)
-    lower = math.sqrt(2) * pi * p**0.25 / math.sqrt(
-        (pi + 1) * ln4p + 2 * math.log(ln4p) + 2 * pi
-    )
-    upper = 4.251 * p**0.25 * math.sqrt(n)
-    return lower, upper
-
-
 def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
     """Fill the resource table row for an n-bit prime."""
     if bits is None:
@@ -60,7 +48,7 @@ def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
         raise ValueError("bits must be >= 8")
     n = bits
     pv = float(p) if p is not None else 2.0**n
-    it_lo, it_hi = _iteration_ends(pv, n)
+    it_lo, it_hi = classnum.iteration_bounds(pv, n)
     p4 = pv**0.25
     # Theta(log log p) in the lower total evaluated as 2 ln ln(4p) / (pi + 1).
     theta = 2 * math.log(math.log(4 * pv)) / (math.pi + 1)

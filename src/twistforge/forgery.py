@@ -116,23 +116,25 @@ def oracle_predicate(ctx: FpContext, c: CurveClass, s: SerialNumber,
 # ---------------------------------------------------------------------------
 
 
-def _batch_G_zero(ctx: FpContext, A: np.ndarray, B: np.ndarray, x: int,
-                  s: SerialNumber) -> np.ndarray:
-    """Boolean array: G(A_i, B_i, x) == 0, vectorized."""
+def batch_G(ctx: FpContext, A: np.ndarray, B: np.ndarray, x: int | np.ndarray,
+            s: SerialNumber) -> np.ndarray:
+    """G over curves (A_i, B_i) at once, as an int64 array of coefficients.
+
+    x is one abscissa for every curve or an array aligned with A and B.
+    Agrees with the scalar G entry for entry (tested).
+    """
     p = ctx.p
-    xv = np.full(A.shape, x % p, dtype=np.int64)
-    w = (xv * xv % p * xv + A * xv + B) % p
+    x = np.broadcast_to(np.asarray(x, dtype=np.int64) % p, A.shape)
+    w = (x * x % p * x + A * x + B) % p
     sq = curves.squares_table(ctx)
     zero_w = w == 0
-    residue = sq[w] & ~zero_w
-    nonres = ~sq[w]
-    out = np.zeros(A.shape, dtype=bool)
-    out[zero_w] = s.sigma % 2 == 0
-    for mask, ell in ((residue, s.sigma), (nonres, s.twist_sigma)):
+    g = np.empty(A.shape, dtype=np.int64)
+    # (x, 0) has order 2; sigma and 2p+2-sigma share parity.
+    g[zero_w] = s.sigma % 2
+    for mask, ell in ((sq[w] & ~zero_w, s.sigma), (~sq[w], s.twist_sigma)):
         if mask.any():
-            amb = BatchAmbient(ctx, A[mask], B[mask], xv[mask])
-            out[mask] = amb.eval(ell) == 0
-    return out
+            g[mask] = BatchAmbient(ctx, A[mask], B[mask], x[mask]).eval(ell)
+    return g
 
 
 def batch_marked(ctx: FpContext, classes: list[CurveClass], s: SerialNumber,
@@ -148,37 +150,15 @@ def batch_marked(ctx: FpContext, classes: list[CurveClass], s: SerialNumber,
         E = curves.get_weierstrass_pair(ctx, c, nr)
         A[i], B[i] = E.A, E.B
     if cfg.mode == "paper_sum":
-        return _batch_paper_sum(ctx, A, B, s, cfg) == 0
+        return sum(batch_G(ctx, A, B, x, s) for x in range(cfg.tau)) % ctx.p == 0
     alive = np.arange(len(classes))
     for x in range(cfg.tau):
         if alive.size == 0:
             break
-        ok = _batch_G_zero(ctx, A[alive], B[alive], x, s)
-        alive = alive[ok]
+        alive = alive[batch_G(ctx, A[alive], B[alive], x, s) == 0]
     marked = np.zeros(len(classes), dtype=bool)
     marked[alive] = True
     return marked
-
-
-def _batch_paper_sum(ctx: FpContext, A: np.ndarray, B: np.ndarray,
-                     s: SerialNumber, cfg: OracleConfig) -> np.ndarray:
-    p = ctx.p
-    total = np.zeros(A.shape, dtype=np.int64)
-    sq = curves.squares_table(ctx)
-    for x in range(cfg.tau):
-        xv = np.full(A.shape, x % p, dtype=np.int64)
-        w = (xv * xv % p * xv + A * xv + B) % p
-        g = np.zeros(A.shape, dtype=np.int64)
-        zero_w = w == 0
-        g[zero_w] = 0 if s.sigma % 2 == 0 else 1
-        residue = sq[w] & ~zero_w
-        nonres = ~sq[w]
-        for mask, ell in ((residue, s.sigma), (nonres, s.twist_sigma)):
-            if mask.any():
-                amb = BatchAmbient(ctx, A[mask], B[mask], xv[mask])
-                g[mask] = amb.eval(ell)
-        total = (total + g) % p
-    return total
 
 
 def g_zero_fraction(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber) -> float:
@@ -186,19 +166,8 @@ def g_zero_fraction(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber) -> flo
     p = ctx.p
     A = np.full(p, E.A, dtype=np.int64)
     B = np.full(p, E.B, dtype=np.int64)
-    x = np.arange(p, dtype=np.int64)
-    w = (x * x % p * x + A * x + B) % p
-    sq = curves.squares_table(ctx)
-    zero_w = w == 0
-    residue = sq[w] & ~zero_w
-    nonres = ~sq[w]
-    zeros = np.zeros(p, dtype=bool)
-    zeros[zero_w] = s.sigma % 2 == 0
-    for mask, ell in ((residue, s.sigma), (nonres, s.twist_sigma)):
-        if mask.any():
-            amb = BatchAmbient(ctx, A[mask], B[mask], x[mask])
-            zeros[mask] = amb.eval(ell) == 0
-    return float(zeros.sum()) / p
+    g = batch_G(ctx, A, B, np.arange(p, dtype=np.int64), s)
+    return float((g == 0).sum()) / p
 
 
 def per_x_zero_bound(p: int) -> float:

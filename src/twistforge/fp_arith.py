@@ -80,9 +80,6 @@ class FpContext:
     def __repr__(self) -> str:
         return f"FpContext(p={self.p})"
 
-    def reduce(self, a: int) -> FieldElement:
-        return a % self.p
-
     def mul(self, a: FieldElement, b: FieldElement, ctr: MultCounter) -> FieldElement:
         ctr.tick()
         return a * b % self.p

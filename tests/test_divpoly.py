@@ -6,7 +6,7 @@ import pytest
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
 from twistforge.divpoly import (
-    Ambient, IndexOutOfRange, ParityMismatch, TV_ONE, TV_ZERO,
+    Ambient, ParityMismatch, TV_ONE, TV_ZERO,
     TwistedValue, TwoTorsionAmbient,
 )
 from twistforge.fp_arith import FpContext, MultCounter
@@ -84,16 +84,6 @@ def test_base_cases_worked_example():
     assert psi[2] == TV_ONE               # psi_1
     assert psi[3] == TwistedValue(2, 1)   # psi_2 = 2y
     assert psi[4] == TwistedValue(4, 0)   # psi_3(0) = -1 mod 5
-
-
-def test_base_psi_range():
-    ctx, amb = make_ambient()
-    seq = divpoly.psi_sequence(amb, 14)
-    for n in range(-1, 15):
-        assert divpoly.base_psi(amb, n) == seq[n + 1]
-    for n in (-2, 15):
-        with pytest.raises(IndexOutOfRange):
-            divpoly.base_psi(amb, n)
 
 
 def test_parity_structure():
@@ -217,11 +207,11 @@ def test_batch_matches_scalar():
 
 def test_batch_psi_coeffs_match_scalar():
     ctx = FpContext(101)
-    A, B, x = 2, 3, 5
-    ba = divpoly.BatchAmbient(ctx, np.array([A], dtype=np.int64),
-                              np.array([B], dtype=np.int64),
-                              np.array([x], dtype=np.int64))
+    # includes A = 0 (j = 0) and B = 0 (j = 1728)
+    rows = [(2, 3, 5), (0, 7, 11), (5, 0, 9), (40, 1, 77), (100, 100, 0)]
+    ba = divpoly.BatchAmbient(ctx, *[np.array(col, dtype=np.int64) for col in zip(*rows)])
     coeffs = ba.psi_coeffs(30)
-    amb = Ambient(ctx, WeierstrassCurve(A, B), x, MultCounter())
-    for n, v in enumerate(divpoly.psi_sequence(amb, 30), start=-1):
-        assert int(coeffs[n + 1][0]) == v.c, n
+    for i, (A, B, x) in enumerate(rows):
+        amb = Ambient(ctx, WeierstrassCurve(A, B), x, MultCounter())
+        for n, v in enumerate(divpoly.psi_sequence(amb, 30), start=-1):
+            assert int(coeffs[n + 1][i]) == v.c, (A, B, x, n)

@@ -95,6 +95,23 @@ def test_batch_marked_matches_scalar(lab101):
                 assert bit == int(hit), (sigma, cfg.mode, c)
 
 
+def test_batch_G_matches_scalar(lab101):
+    ctx = lab101.ctx
+    tau = OracleConfig.for_prime(lab101.p).tau
+    for sigma in (93, 103, 111, 120):
+        s = SerialNumber(sigma, lab101.p)
+        for x in range(tau):
+            got = forgery.batch_G(ctx, lab101.A, lab101.B, x, s)
+            want = [G(ctx, E, x, s, MultCounter()) for E in lab101.curves]
+            assert got.tolist() == want, (sigma, x)
+    # one abscissa per curve
+    s = SerialNumber(103, lab101.p)
+    xs = np.arange(len(lab101.curves), dtype=np.int64) % lab101.p
+    got = forgery.batch_G(ctx, lab101.A, lab101.B, xs, s)
+    want = [G(ctx, E, int(x), s, MultCounter()) for E, x in zip(lab101.curves, xs)]
+    assert got.tolist() == want
+
+
 def test_paper_sum_cancellation_witnesses(lab101):
     """paper_sum admits field-sum cancellation false positives that
     strict_or does not; at p=101, sigma=103 the two witnesses are known."""
@@ -118,6 +135,8 @@ def test_g_zero_fraction_bounds(lab101):
     assert 0.75 < bound < 0.81
     for E, n in list(zip(lab101.curves, lab101.cards))[:40]:
         frac = forgery.g_zero_fraction(lab101.ctx, E, s)
+        zeros = sum(G(lab101.ctx, E, x, s, MultCounter()) == 0 for x in range(lab101.p))
+        assert frac == zeros / lab101.p
         if n == 103:
             assert frac == 1.0
         else:
