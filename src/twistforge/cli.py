@@ -61,15 +61,35 @@ def _s(v) -> str:
     return str(v)
 
 
+def _cached_table(ctx: FpContext, path: str,
+                  with_structure: bool) -> list[curves.CurveTableRow] | None:
+    """The table cached at path; None (with a warning) if it is malformed."""
+    try:
+        rows = curves.read_curve_table(path)
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        if len(rows) != curves.class_count(ctx):
+            reason = f"{len(rows)} rows, expected {curves.class_count(ctx)}"
+        elif any((r.m > 0) != with_structure for r in rows):  # m = 0 marks no structure
+            reason = "group structure missing" if with_structure else "unexpected group structure"
+        else:
+            return rows
+    print(f"warning: rebuilding cache file {path}: {reason}", file=sys.stderr)
+    return None
+
+
 def cmd_enumerate(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     rows = None
     path = None
     if cache_dir:
-        path = os.path.join(cache_dir, f"curves_p{ctx.p}.csv")
+        # tables without group structure hold m = k = 0, so they get their own file
+        suffix = "_nostructure" if args.no_structure else ""
+        path = os.path.join(cache_dir, f"curves_p{ctx.p}{suffix}.csv")
         if os.path.exists(path):
-            rows = curves.read_curve_table(path)
+            rows = _cached_table(ctx, path, not args.no_structure)
     if rows is None:
         rows = curves.build_curve_table(ctx, with_structure=not args.no_structure)
         if path:
@@ -156,6 +176,8 @@ def cmd_estimate(args) -> list[dict]:
         raise UsageError("estimate needs --bits or --p")
     if args.bits is not None and args.bits < 8:
         raise UsageError("--bits must be >= 8")
+    if args.p is not None and args.p <= 128:  # ceil(log2 p) >= 8 bits
+        raise UsageError(f"--p must be > 128, got {args.p}")
     report = estimator.estimate(bits=args.bits, p=args.p)
     return [estimator.report_row(report)]
 

@@ -1,24 +1,22 @@
 """Elliptic-curve classes over F_p.
 
-(j,b) class enumeration, conversion to short Weierstrass form, affine point
-arithmetic, quadratic twists, and exhaustive ground-truth point counting.
+(j,b) class enumeration, conversion to short Weierstrass form, quadratic
+twists, exhaustive ground-truth point counting, and group structure from
+psi_l torsion counts.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
+from .divpoly import BatchAmbient
 from .fp_arith import FpContext, MultCounter, Residue
-
-# An affine point (x, y); None is the point at infinity.
-CurvePoint = Optional[tuple[int, int]]
-INFINITY: CurvePoint = None
 
 
 class InvalidClass(ValueError):
@@ -185,71 +183,6 @@ def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return (p + 1 + ch.sum(axis=0)).astype(np.int64)
 
 
-def point_neg(ctx: FpContext, P: CurvePoint) -> CurvePoint:
-    if P is None:
-        return None
-    return (P[0], (-P[1]) % ctx.p)
-
-
-def point_add(ctx: FpContext, P: CurvePoint, Q: CurvePoint, E: WeierstrassCurve) -> CurvePoint:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    p = ctx.p
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + E.A) * ctx.inv(2 * y1) % p
-    else:
-        lam = (y2 - y1) * ctx.inv((x2 - x1) % p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
-def scalar_mul(ctx: FpContext, P: CurvePoint, k: int, E: WeierstrassCurve) -> CurvePoint:
-    """[k]P by double-and-add; [0]P is the point at infinity."""
-    if k < 0:
-        return scalar_mul(ctx, point_neg(ctx, P), -k, E)
-    result: CurvePoint = None
-    addend = P
-    while k:
-        if k & 1:
-            result = point_add(ctx, result, addend, E)
-        addend = point_add(ctx, addend, addend, E)
-        k >>= 1
-    return result
-
-
-def is_on_curve(ctx: FpContext, P: CurvePoint, E: WeierstrassCurve) -> bool:
-    if P is None:
-        return True
-    x, y = P
-    return (y * y - (x * x % ctx.p * x + E.A * x + E.B)) % ctx.p == 0
-
-
-def affine_points(ctx: FpContext, E: WeierstrassCurve) -> list[tuple[int, int]]:
-    """All affine points, by exhaustive x-scan."""
-    p = ctx.p
-    sq = _squares_table(p)
-    pts = []
-    roots: dict[int, int] = {}
-    for y in range(p // 2 + 1):
-        roots.setdefault(y * y % p, y)
-    for x in range(p):
-        w = (x * x % p * x + E.A * x + E.B) % p
-        if w == 0:
-            pts.append((x, 0))
-        elif sq[w]:
-            y = roots[w]
-            pts.append((x, y))
-            pts.append((x, p - y))
-    return pts
-
-
 def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> WeierstrassCurve:
     """The twist y^2 = x^3 + alpha^-2 A x + alpha^-3 B."""
     if ctx.euler_criterion(alpha, MultCounter()) is not Residue.NONRESIDUE:
@@ -272,34 +205,39 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def point_order(ctx: FpContext, P: CurvePoint, E: WeierstrassCurve, n: int,
-                factors: dict[int, int] | None = None) -> int:
-    """Order of P given the group cardinality n."""
-    if P is None:
-        return 1
-    factors = factors if factors is not None else _factorize(n)
-    order = n
-    for q in factors:
-        while order % q == 0 and scalar_mul(ctx, P, order // q, E) is None:
-            order //= q
-    return order
-
-
 def group_structure(ctx: FpContext, E: WeierstrassCurve, n: int | None = None) -> tuple[int, int]:
-    """(m, k) with E(F_p) = Z/m x Z/mk, m | p-1, m^2 k = #E."""
+    """(m, k) with E(F_p) = Z/m x Z/mk, m | p-1, m^2 k = #E.
+
+    The q-part of m is the largest q^e with #E[q^e] = q^{2e}.  That needs
+    q^{2e} | #E, and q^e | p-1 by the Weil pairing, so only the primes of
+    gcd(#E, p-1) are tried; each #E[l] is counted with the psi_l test.
+    """
+    p = ctx.p
     if n is None:
         n = count_points(ctx, E)
-    factors = _factorize(n)
-    exponent = 1
-    for P in affine_points(ctx, E):
-        exponent = math.lcm(exponent, point_order(ctx, P, E, n, factors))
-        if exponent == n:
-            break
-    m = n // exponent
-    k = exponent // m
-    assert m * m * k == n
-    assert (ctx.p - 1) % m == 0
-    return m, k
+    primes = [q for q in _factorize(math.gcd(n, p - 1)) if n % (q * q) == 0]
+    if not primes:
+        return 1, n
+    x = np.arange(p, dtype=np.int64)
+    w = (x * x % p * x + E.A * x + E.B) % p
+    lifts = x[(w != 0) & _squares_table(p)[w]]  # x of the points with y != 0
+    two_torsion = int((w == 0).sum())
+    ba = BatchAmbient(ctx, np.full(lifts.size, E.A, dtype=np.int64),
+                      np.full(lifts.size, E.B, dtype=np.int64), lifts)
+    m = 1
+    for q in primes:
+        ell = q
+        while n % (ell * ell) == 0:
+            # #E[l] = O, the pairs (x, +-y) with psi_l(x) = 0, and for even l
+            # the points with y = 0
+            torsion = 1 + 2 * int((ba.eval(ell) == 0).sum())
+            if ell % 2 == 0:
+                torsion += two_torsion
+            if torsion != ell * ell:
+                break
+            m *= q
+            ell *= q
+    return m, n // (m * m)
 
 
 @dataclass(frozen=True)
@@ -337,17 +275,29 @@ CURVE_TABLE_FIELDS = ["j", "b", "A", "B", "cardinality", "m", "k"]
 
 
 def write_curve_table(path, rows: list[CurveTableRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_TABLE_FIELDS)
-        for r in rows:
-            writer.writerow([r.j, r.b, r.A, r.B, r.cardinality, r.m, r.k])
+    """Write to a temp file beside path, then rename it over path, so a
+    reader never sees a half-written table."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CURVE_TABLE_FIELDS)
+            for r in rows:
+                writer.writerow([r.j, r.b, r.A, r.B, r.cardinality, r.m, r.k])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_curve_table(path) -> list[CurveTableRow]:
+    """Rows written by write_curve_table; ValueError if the file is malformed."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CURVE_TABLE_FIELDS:
             raise ValueError(f"unexpected curve-table header: {header}")
-        return [CurveTableRow(*map(int, row)) for row in reader]
+        rows = list(reader)
+    if any(len(row) != len(CURVE_TABLE_FIELDS) for row in rows):
+        raise ValueError(f"curve-table rows must have {len(CURVE_TABLE_FIELDS)} fields")
+    return [CurveTableRow(*map(int, row)) for row in rows]

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .curves import WeierstrassCurve
 from .fp_arith import FpContext, MultCounter
+
+if TYPE_CHECKING:
+    from .curves import WeierstrassCurve
 
 
 class ParityMismatch(ValueError):

@@ -70,17 +70,15 @@ def plan_iterations(
     ctx: FpContext,
     s: SerialNumber,
     h: int | None = None,
-    bounds: classnum.ClassNumberReport | None = None,
 ) -> SearchPlan:
     """Iteration plan over the full (j, b) class space.
 
     With the exact marked count h the plan is the rounded Grover optimum.
-    With bounds only, h is replaced by its lower bound (clamped to 1 target),
-    which is conservative: fewer assumed targets, more iterations.
+    Without h, h is replaced by its class-number lower bound (clamped to 1
+    target), which is conservative: fewer assumed targets, more iterations.
     """
     n = curves.class_count(ctx)
-    if bounds is None:
-        bounds = classnum.class_number_report(ctx.p, s.sigma, with_exact=False)
+    bounds = classnum.class_number_report(ctx.p, s.sigma, with_exact=False)
     sandwich = (bounds.iteration_lower, bounds.iteration_upper)
     if h is not None:
         if h == 0:

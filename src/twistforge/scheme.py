@@ -90,7 +90,6 @@ def forge(
     s: SerialNumber,
     cfg: OracleConfig,
     seed: int = 0,
-    use_exact_m: bool = True,
 ) -> ForgeResult:
     """End-to-end attack: plan, search, sample, re-verify, rebuild support."""
     nr = NonResidueTable.for_prime(ctx)
@@ -99,7 +98,7 @@ def forge(
     m = int(marked.sum())
     if m == 0:
         raise grover.NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
-    plan = grover.plan_iterations(ctx, s, h=m if use_exact_m else None)
+    plan = grover.plan_iterations(ctx, s, h=m)
     result = grover.run_search(ctx, s, plan, cfg, seed=seed, nr=nr,
                                classes=classes, marked=marked)
     sample = result.sample_class

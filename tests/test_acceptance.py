@@ -18,6 +18,7 @@ from twistforge.divpoly import Ambient, BatchAmbient
 from twistforge.forgery import OracleConfig, SerialNumber
 from twistforge.fp_arith import FpContext, MultCounter
 
+import grouplaw
 from conftest import get_lab, record_criterion
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -61,7 +62,7 @@ def test_criterion_02_torsion_equivalence():
             n = int(n)
             curves_checked += 1
             factors = curves._factorize(n)
-            pts = curves.affine_points(lab.ctx, E)
+            pts = grouplaw.affine_points(lab.ctx, E)
             regular = [(x, y) for x, y in pts if y != 0 and y <= p - y]
             two_torsion = [(x, y) for x, y in pts if y == 0]
             points_checked += len(pts)
@@ -73,7 +74,7 @@ def test_criterion_02_torsion_equivalence():
                     np.array([x for x, _ in regular], dtype=np.int64),
                 )
                 psi = ba.psi_coeffs(40)
-                orders = np.array([curves.point_order(lab.ctx, P, E, n, factors)
+                orders = np.array([grouplaw.point_order(lab.ctx, P, E, n, factors)
                                    for P in regular])
                 for ell in range(1, 41):
                     zero = psi[ell + 1] == 0
@@ -84,18 +85,18 @@ def test_criterion_02_torsion_equivalence():
                 # odd part otherwise, so psi_ell(P) = 0 iff ell is even; the
                 # group side must agree since P has order 2.
                 for ell in range(1, 41):
-                    is_inf = curves.scalar_mul(lab.ctx, P, ell, E) is None
+                    is_inf = grouplaw.scalar_mul(lab.ctx, P, ell, E) is None
                     if is_inf != (ell % 2 == 0):
                         violations += 1
     # spot check that the scheduled evaluator agrees with the batch result
     lab = get_lab(101)
     E = lab.curves[0]
     n = int(lab.cards[0])
-    for P in curves.affine_points(lab.ctx, E)[:5]:
+    for P in grouplaw.affine_points(lab.ctx, E)[:5]:
         x, y = P
         if y == 0:
             continue
-        order = curves.point_order(lab.ctx, P, E, n)
+        order = grouplaw.point_order(lab.ctx, P, E, n)
         for ell in (7, 12, 25, 40):
             v = divpoly.eval_division_poly(lab.ctx, E, x, ell, MultCounter())
             if (v.c == 0) != (ell % order == 0):

@@ -3,7 +3,8 @@ import io
 import json
 import os
 
-from twistforge import cli
+from twistforge import cli, curves
+from twistforge.fp_arith import FpContext
 
 
 def run(argv, capsys):
@@ -41,6 +42,37 @@ def test_enumerate_cache_env(tmp_path, capsys, monkeypatch):
     rc, out2, _ = run(["enumerate", "--p", "11"], capsys)  # served from cache
     assert rc == 0
     assert out1 == out2
+
+
+def test_enumerate_cache_keeps_structure_flag(tmp_path, capsys):
+    rc, fresh, _ = run(["enumerate", "--p", "11"], capsys)
+    cache = ["--cache-dir", str(tmp_path)]
+    rc, bare, _ = run(["enumerate", "--p", "11", "--no-structure"] + cache, capsys)
+    assert rc == 0 and all(r["m"] == "0" for r in lines(bare))
+    rc, out, _ = run(["enumerate", "--p", "11"] + cache, capsys)
+    assert rc == 0 and out == fresh
+    rc, out, _ = run(["enumerate", "--p", "11", "--no-structure"] + cache, capsys)
+    assert rc == 0 and out == bare
+
+
+def test_enumerate_rebuilds_broken_cache(tmp_path, capsys):
+    rc, fresh, _ = run(["enumerate", "--p", "11"], capsys)
+    path = tmp_path / "curves_p11.csv"
+    cache = ["--cache-dir", str(tmp_path)]
+    header = "j,b,A,B,cardinality,m,k\n"
+    ctx = FpContext(11)
+    curves.write_curve_table(path, curves.build_curve_table(ctx, with_structure=False))
+    stale = path.read_text()  # a no-structure table under the structure key
+    # bad header, empty, a short row, too few rows, no group structure
+    for broken in ("j,b,A\n1,2,3\n", "", header + "0,0,0,1,12,1\n",
+                   header + "0,0,0,1,12,1,12\n", stale):
+        path.write_text(broken)
+        rc, out, err = run(["enumerate", "--p", "11"] + cache, capsys)
+        assert rc == 0 and out == fresh
+        assert len(err.splitlines()) == 1 and err.startswith("warning:")
+        rc, out, err = run(["enumerate", "--p", "11"] + cache, capsys)
+        assert rc == 0 and out == fresh and err == ""
+    assert os.listdir(tmp_path) == ["curves_p11.csv"]  # no temp file left
 
 
 def test_mint_and_check_serial(capsys):
@@ -106,6 +138,11 @@ def test_estimate(capsys):
     assert rc == 2
     rc, _, err = run(["estimate", "--bits", "7"], capsys)
     assert rc == 2
+    for p in ("101", "0"):  # under 8 bits, and not positive
+        rc, _, err = run(["estimate", "--p", p], capsys)
+        assert rc == 2 and err.startswith("error:")
+    rc, _, _ = run(["estimate", "--p", "129"], capsys)
+    assert rc == 0
 
 
 def test_audit(capsys):

@@ -1,7 +1,11 @@
+import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import twistforge
 from twistforge import curves
 from twistforge.curves import (
     CurveClass, InvalidClass, NonResidueTable, NotANonResidue, SingularCurve,
@@ -9,6 +13,7 @@ from twistforge.curves import (
 )
 from twistforge.fp_arith import FpContext
 
+import grouplaw
 from conftest import get_lab
 
 
@@ -93,10 +98,10 @@ def test_count_points_example():
 def test_count_points_matches_affine_enumeration():
     lab = get_lab(101)
     for E in lab.curves[:12]:
-        pts = curves.affine_points(lab.ctx, E)
+        pts = grouplaw.affine_points(lab.ctx, E)
         assert curves.count_points(lab.ctx, E) == len(pts) + 1
         for P in pts:
-            assert curves.is_on_curve(lab.ctx, P, E)
+            assert grouplaw.is_on_curve(lab.ctx, P, E)
 
 
 def test_count_points_batch_matches_scalar(lab101):
@@ -122,42 +127,66 @@ def test_twist_sum(lab101):
 def test_point_arithmetic_group_laws():
     ctx = FpContext(5)
     E = WeierstrassCurve(1, 1)  # 9 points
-    pts = [None] + curves.affine_points(ctx, E)
+    pts = [None] + grouplaw.affine_points(ctx, E)
     assert len(pts) == 9
     for P in pts:
-        assert curves.point_add(ctx, P, None, E) == P
-        assert curves.point_add(ctx, P, curves.point_neg(ctx, P), E) is None
-        assert curves.scalar_mul(ctx, P, 9, E) is None  # Lagrange
-        assert curves.scalar_mul(ctx, P, 0, E) is None
+        assert grouplaw.point_add(ctx, P, None, E) == P
+        assert grouplaw.point_add(ctx, P, grouplaw.point_neg(ctx, P), E) is None
+        assert grouplaw.scalar_mul(ctx, P, 9, E) is None  # Lagrange
+        assert grouplaw.scalar_mul(ctx, P, 0, E) is None
     for P in pts:
         for Q in pts:
-            assert curves.point_add(ctx, P, Q, E) == curves.point_add(ctx, Q, P, E)
+            assert grouplaw.point_add(ctx, P, Q, E) == grouplaw.point_add(ctx, Q, P, E)
     # associativity spot check
     P, Q, R = pts[1], pts[3], pts[5]
-    assert curves.point_add(ctx, curves.point_add(ctx, P, Q, E), R, E) == \
-        curves.point_add(ctx, P, curves.point_add(ctx, Q, R, E), E)
+    assert grouplaw.point_add(ctx, grouplaw.point_add(ctx, P, Q, E), R, E) == \
+        grouplaw.point_add(ctx, P, grouplaw.point_add(ctx, Q, R, E), E)
 
 
-def test_scalar_mul_negative():
-    ctx = FpContext(5)
-    E = WeierstrassCurve(1, 1)
-    P = curves.affine_points(ctx, E)[0]
-    assert curves.scalar_mul(ctx, P, -1, E) == curves.point_neg(ctx, P)
+def _group_law_exponent(ctx, E, n):
+    """Exponent of E(F_p) from the group law: the lcm of the point orders."""
+    factors = curves._factorize(n)
+    exponent = 1
+    for P in grouplaw.affine_points(ctx, E):
+        exponent = math.lcm(exponent, grouplaw.point_order(ctx, P, E, n, factors))
+        if exponent == n:
+            break
+    return exponent
 
 
-def test_point_order_and_group_structure(lab101):
-    ctx = lab101.ctx
-    for E, n in list(zip(lab101.curves, lab101.cards))[:15]:
+def test_point_order_and_group_structure():
+    """The psi_l group structure of every class and its alpha_2-twist has
+    the exponent mk that the group law gives."""
+    for p in (101, 311):
+        lab = get_lab(p)
+        ctx = lab.ctx
+        for E, n in zip(lab.curves, lab.cards):
+            T = curves.quadratic_twist(ctx, E, lab.nr.alpha2)
+            for C, card in ((E, int(n)), (T, 2 * p + 2 - int(n))):
+                m, k = curves.group_structure(ctx, C, card)
+                assert m * m * k == card and (p - 1) % m == 0
+                assert m * k == _group_law_exponent(ctx, C, card), (p, C)
+    lab = get_lab(101)
+    E = lab.curves[0]
+    assert curves.group_structure(lab.ctx, E) == curves.group_structure(lab.ctx, E, int(lab.cards[0]))
+    # point orders on a few curves: [o]P = O and no proper divisor kills P
+    for E, n in list(zip(lab.curves, lab.cards))[:15]:
         n = int(n)
-        m, k = curves.group_structure(ctx, E, n)
-        assert m * m * k == n
-        assert (lab101.p - 1) % m == 0
-        for P in curves.affine_points(ctx, E)[:10]:
-            o = curves.point_order(ctx, P, E, n)
+        for P in grouplaw.affine_points(lab.ctx, E)[:10]:
+            o = grouplaw.point_order(lab.ctx, P, E, n)
             assert n % o == 0
-            assert curves.scalar_mul(ctx, P, o, E) is None
+            assert grouplaw.scalar_mul(lab.ctx, P, o, E) is None
             for q in curves._factorize(o):
-                assert curves.scalar_mul(ctx, P, o // q, E) is not None
+                assert grouplaw.scalar_mul(lab.ctx, P, o // q, E) is not None
+
+
+def test_modules_import_first_in_fresh_interpreter():
+    """curves imports divpoly at run time and divpoly imports curves only
+    for type checking, so either module can be the first one loaded."""
+    src = os.path.dirname(os.path.dirname(twistforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("twistforge.curves", "twistforge.divpoly"):
+        subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
 
 
 def test_make_curve_rejects_singular():
