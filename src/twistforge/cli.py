@@ -104,7 +104,10 @@ def cmd_enumerate(args) -> list[dict]:
 
 def cmd_mint(args) -> list[dict]:
     ctx = _parse_prime(args.p)
-    note = scheme.mint(ctx, args.seed)
+    try:
+        note = scheme.mint(ctx, args.seed)
+    except scheme.Exhausted as exc:
+        raise UsageError(str(exc)) from exc
     return [json.loads(scheme.banknote_to_json(note))]
 
 

@@ -172,15 +172,29 @@ def count_points(ctx: FpContext, E: WeierstrassCurve) -> int:
     return int(count_points_batch(ctx, A, B)[0])
 
 
+# Cells of the x-by-curve matrix count_points_batch holds at once.
+COUNT_CHUNK_CELLS = 1 << 22
+
+
 def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Cardinalities for many curves at once; A, B are int64 arrays."""
+    """Cardinalities for many curves at once; A, B are int64 arrays.
+
+    #E = 1 + 2 #{x : w(x) a square} - #{x : w(x) = 0}, counted in column
+    chunks of at most COUNT_CHUNK_CELLS cells (one column when p is larger).
+    """
     p = ctx.p
     x = np.arange(p, dtype=np.int64)
-    x3 = x * x % p * x % p
+    x3 = (x * x % p * x % p)[:, None]
     sq = _squares_table(p)
-    w = (x3[:, None] + A[None, :] * x[:, None] + B[None, :]) % p
-    ch = np.where(w == 0, 0, np.where(sq[w], 1, -1))
-    return (p + 1 + ch.sum(axis=0)).astype(np.int64)
+    step = max(1, COUNT_CHUNK_CELLS // p)
+    out = np.empty(len(A), dtype=np.int64)
+    for lo in range(0, len(A), step):
+        w = np.multiply.outer(x, A[lo:lo + step])
+        w += x3
+        w += B[lo:lo + step]
+        w %= p
+        out[lo:lo + step] = 1 + 2 * sq[w].sum(axis=0) - (w == 0).sum(axis=0)
+    return out
 
 
 def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> WeierstrassCurve:
@@ -253,14 +267,18 @@ class CurveTableRow:
 
 def build_curve_table(ctx: FpContext, with_structure: bool = True) -> list[CurveTableRow]:
     """Ground truth for every class: (A, B), cardinality and group shape."""
+    p = ctx.p
     nr = NonResidueTable.for_prime(ctx)
     classes = enumerate_classes(ctx)
     curves = [get_weierstrass_pair(ctx, c, nr) for c in classes]
-    cards = count_points_batch(
-        ctx,
-        np.array([E.A for E in curves], dtype=np.int64),
-        np.array([E.B for E in curves], dtype=np.int64),
-    )
+    A = np.array([E.A for E in curves], dtype=np.int64)
+    B = np.array([E.B for E in curves], dtype=np.int64)
+    # off j = 0, 1728 the class (j, 1) is the alpha_2-twist of (j, 0), the
+    # class just before it, so only b = 0 is counted there
+    twist = np.array([c.b == 1 and c.j not in (0, 1728 % p) for c in classes], dtype=bool)
+    cards = np.empty(len(classes), dtype=np.int64)
+    cards[~twist] = count_points_batch(ctx, A[~twist], B[~twist])
+    cards[twist] = 2 * p + 2 - cards[np.flatnonzero(twist) - 1]
     rows = []
     for c, E, card in zip(classes, curves, cards):
         if with_structure:

@@ -201,15 +201,9 @@ def false_positive_experiment(
     """
     import random
 
-    nr = NonResidueTable.for_prime(ctx)
-    classes = curves.enumerate_classes(ctx)
-    pairs = [(c, curves.get_weierstrass_pair(ctx, c, nr)) for c in classes]
-    cards = curves.count_points_batch(
-        ctx,
-        np.array([E.A for _, E in pairs], dtype=np.int64),
-        np.array([E.B for _, E in pairs], dtype=np.int64),
-    )
-    nontargets = [(c, E) for (c, E), n in zip(pairs, cards) if n != s.sigma]
+    nontargets = [(CurveClass(r.j, r.b), WeierstrassCurve(r.A, r.B))
+                  for r in curves.build_curve_table(ctx, with_structure=False)
+                  if r.cardinality != s.sigma]
     rng = random.Random(seed)
     rows = []
     for tau in tau_range:

@@ -32,31 +32,46 @@ class Banknote:
     support: tuple[CurveClass, ...]
 
 
-def _cardinalities(ctx: FpContext, table: list[CurveTableRow] | None):
-    if table is None:
-        table = curves.build_curve_table(ctx, with_structure=False)
-    classes = [CurveClass(r.j, r.b) for r in table]
-    cards = np.array([r.cardinality for r in table], dtype=np.int64)
-    return classes, cards
-
-
 def mint(
     ctx: FpContext,
     seed: int,
     table: list[CurveTableRow] | None = None,
 ) -> Banknote:
-    """Sample classes until the Frobenius-discriminant predicate accepts."""
-    classes, cards = _cardinalities(ctx, table)
+    """Sample classes until the Frobenius-discriminant predicate accepts.
+
+    Without a table only the drawn classes are counted, O(p) each, and the
+    support is the strict_or sweep's marked set, each member confirmed by an
+    exact count: the sweep has no false negatives (a class with sigma points
+    has G = 0 at every x) and the count drops any false positive.  A table
+    supplies the cardinalities instead.
+    """
+    p = ctx.p
+    if table is None:
+        nr = NonResidueTable.for_prime(ctx)
+        classes = curves.enumerate_classes(ctx)
+
+        def card(i: int) -> int:
+            return curves.count_points(ctx, curves.get_weierstrass_pair(ctx, classes[i], nr))
+
+        def fiber(sigma: int) -> list[CurveClass]:
+            marked = forgery.batch_marked(ctx, classes, SerialNumber(sigma, p),
+                                          OracleConfig.for_prime(p), nr)
+            return [classes[i] for i in np.flatnonzero(marked) if card(i) == sigma]
+    else:
+        classes = [CurveClass(r.j, r.b) for r in table]
+        cards = [r.cardinality for r in table]
+        card = cards.__getitem__
+
+        def fiber(sigma: int) -> list[CurveClass]:
+            return [c for c, n in zip(classes, cards) if n == sigma]
     rng = random.Random(seed)
     for _ in range(10 * len(classes)):
-        i = rng.randrange(len(classes))
-        sigma = int(cards[i])
-        if sigma == ctx.p + 1:
+        sigma = card(rng.randrange(len(classes)))
+        if sigma == p + 1:
             continue
-        if classnum.frobenius_discriminant(ctx.p, sigma).accepted:
-            support = tuple(c for c, n in zip(classes, cards) if n == sigma)
-            return Banknote(ctx.p, SerialNumber(sigma, ctx.p), support)
-    raise Exhausted(f"no acceptable sigma over F_{ctx.p} within the draw cap")
+        if classnum.frobenius_discriminant(p, sigma).accepted:
+            return Banknote(p, SerialNumber(sigma, p), tuple(fiber(sigma)))
+    raise Exhausted(f"no acceptable sigma over F_{p} within the draw cap")
 
 
 def check_serial(

@@ -87,6 +87,14 @@ def test_mint_and_check_serial(capsys):
     assert lines(out) == [{"pass": "1"}]
 
 
+def test_mint_without_acceptable_sigma_exits_2(capsys):
+    # no sigma over F_7 has a square-free Frobenius discriminant above 3p
+    rc, out, err = run(["mint", "--p", "7", "--seed", "0"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: no acceptable sigma over F_7")
+
+
 def test_check_serial_rejects(capsys):
     rc, _, err = run(["check-serial", "--p", "101", "--sigma", "102",
                       "--j", "1", "--b", "0"], capsys)

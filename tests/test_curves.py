@@ -109,6 +109,24 @@ def test_count_points_batch_matches_scalar(lab101):
     assert list(lab101.cards) == singles
 
 
+def test_count_points_batch_chunk_boundaries(lab101, monkeypatch):
+    singles = [curves.count_points(lab101.ctx, E) for E in lab101.curves]
+    for cols in (1, 3, 7, 1000):  # 204 classes: remainders 0, 0, 1, one chunk
+        monkeypatch.setattr(curves, "COUNT_CHUNK_CELLS", cols * lab101.p)
+        got = curves.count_points_batch(lab101.ctx, lab101.A, lab101.B)
+        assert list(got) == singles, cols
+
+
+def test_curve_table_cardinalities_match_direct_counts():
+    """The table counts b = 0 and fills (j, 1) off j = 0, 1728 by the twist
+    relation; every row must still equal its own count."""
+    for p in (5, 7, 11, 13, 101, 499):
+        ctx = FpContext(p)
+        rows = curves.build_curve_table(ctx, with_structure=False)
+        direct = [curves.count_points(ctx, WeierstrassCurve(r.A, r.B)) for r in rows]
+        assert [r.cardinality for r in rows] == direct, p
+
+
 def test_hasse_band(lab101):
     p = lab101.p
     for n in lab101.cards:

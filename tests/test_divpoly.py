@@ -1,7 +1,9 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
@@ -205,6 +207,28 @@ def test_batch_matches_scalar():
             want = divpoly.eval_division_poly(
                 ctx, WeierstrassCurve(A, B), x, ell, MultCounter())
             assert int(got[i]) == want.c, (A, B, x, ell)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_matches_scalar_near_int64_limit(p, data):
+    """Products of two residues below 2^31 fit in int64: the batch backend
+    agrees with the Python-int scalar one at the largest legal primes."""
+    ctx = FpContext(p)
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * 3),
+                              min_size=1, max_size=8))
+    for A, B, x in rows:
+        assume((4 * A**3 + 27 * B * B) % p != 0)
+        assume((x**3 + A * x + B) % p != 0)
+    hasse = math.isqrt(4 * p)  # floor(2 sqrt p)
+    ell = data.draw(st.sampled_from([2, 3, 5, 7])
+                    | st.integers(p + 1 - hasse, p + 1 + hasse))
+    ba = divpoly.BatchAmbient(ctx, *[np.array(col, dtype=np.int64) for col in zip(*rows)])
+    got = ba.eval(ell)
+    for i, (A, B, x) in enumerate(rows):
+        want = divpoly.eval_division_poly(ctx, WeierstrassCurve(A, B), x, ell, MultCounter())
+        assert int(got[i]) == want.c, (A, B, x, ell)
 
 
 def test_batch_psi_coeffs_match_scalar():

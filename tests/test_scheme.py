@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import twistforge
 from twistforge import classnum, curves, forgery, scheme
+from twistforge.fp_arith import FpContext
 from twistforge.forgery import OracleConfig, SerialNumber
 
 
@@ -47,9 +53,44 @@ def test_mint_verify_duality(lab101):
     assert scheme.check_serial(lab101.ctx, outside, note.serial, cfg) == 0
 
 
-def test_mint_accepts_prebuilt_table(lab101):
-    table = curves.build_curve_table(lab101.ctx, with_structure=False)
-    assert scheme.mint(lab101.ctx, 5, table) == scheme.mint(lab101.ctx, 5)
+def test_mint_accepts_prebuilt_table():
+    """Counting only the drawn classes and taking the support from the psi
+    sweep gives the same banknotes as reading both from the full table."""
+    for p in (101, 499, 1009):
+        ctx = FpContext(p)
+        table = curves.build_curve_table(ctx, with_structure=False)
+        for seed in range(30):
+            assert scheme.mint(ctx, seed) == scheme.mint(ctx, seed, table), (p, seed)
+
+
+def test_mint_confirms_marked_support_by_count(lab101, monkeypatch):
+    """A sweep that marks every class still yields exactly the sigma fiber."""
+    monkeypatch.setattr(forgery, "batch_marked",
+                        lambda ctx, classes, *_: np.ones(len(classes), dtype=bool))
+    note = scheme.mint(lab101.ctx, seed=0)
+    expect = [c for c, n in zip(lab101.classes, lab101.cards)
+              if n == note.serial.sigma]
+    assert list(note.support) == expect
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for VmHWM")
+def test_mint_peak_memory_is_linear_in_p():
+    """A p x 2p count matrix would take about 480 MB at p = 3001."""
+    script = (
+        "import sys\n"
+        "from twistforge import cli\n"
+        "rc = cli.dispatch(['mint', '--p', '3001', '--seed', '0'])\n"
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
+        "print(rc, int(hwm[0].split()[1]), file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(twistforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    rc, hwm_kib = map(int, proc.stderr.split())
+    assert rc == 0
+    assert hwm_kib < 150 * 1024, hwm_kib
 
 
 def test_forge_end_to_end(lab101):
