@@ -40,7 +40,20 @@ def _serial(ctx: FpContext, sigma: int) -> SerialNumber:
 
 
 def _config(ctx: FpContext, args) -> OracleConfig:
-    return OracleConfig.for_prime(ctx.p, mode=args.mode, tau=args.tau)
+    try:
+        return OracleConfig.for_prime(ctx.p, mode=args.mode, tau=args.tau)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _taus(text: str) -> list[int]:
+    try:
+        taus = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--taus must be comma-separated integers, got {text!r}") from None
+    if min(taus) < 0:
+        raise UsageError(f"--taus must be >= 0, got {text!r}")
+    return taus
 
 
 def _emit(rows: list[dict], fmt: str) -> None:
@@ -124,6 +137,8 @@ def cmd_check_serial(args) -> list[dict]:
 def cmd_forge_sim(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     s = _serial(ctx, args.sigma)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
         result = scheme.forge(ctx, s, _config(ctx, args), seed=args.seed)
     except grover.NoTarget as exc:
@@ -201,8 +216,7 @@ def cmd_audit(args) -> list[dict]:
 def cmd_fp_experiment(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     s = _serial(ctx, args.sigma)
-    taus = [int(t) for t in args.taus.split(",")] if args.taus else \
-        [1, 2, 4, forgery.default_tau(ctx.p)]
+    taus = _taus(args.taus) if args.taus else [1, 2, 4, forgery.default_tau(ctx.p)]
     rows = forgery.false_positive_experiment(
         ctx, s, taus, trials=args.trials, seed=args.seed, mode=args.mode)
     return [{

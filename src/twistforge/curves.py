@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divpoly import BatchAmbient
+from .divpoly import BatchAmbient, _vec_pow
 from .fp_arith import FpContext, MultCounter, Residue
 
 
@@ -122,13 +122,21 @@ def class_count(ctx: FpContext) -> int:
     return n
 
 
+def class_arrays(ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
+    """(j, b) of every legal class as int64 arrays, in lexicographic order."""
+    p = ctx.p
+    counts = np.full(p, 2, dtype=np.int64)
+    for j in (0, 1728 % p):  # the only j with a wider b-range
+        counts[j] = b_range(ctx, j)
+    j = np.repeat(np.arange(p, dtype=np.int64), counts)
+    b = np.arange(j.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return j, b
+
+
 def enumerate_classes(ctx: FpContext) -> list[CurveClass]:
     """Every legal (j, b) exactly once, in lexicographic order."""
-    out = []
-    for j in range(ctx.p):
-        for b in range(b_range(ctx, j)):
-            out.append(CurveClass(j, b))
-    return out
+    j, b = class_arrays(ctx)
+    return list(map(CurveClass, j.tolist(), b.tolist()))
 
 
 def get_weierstrass_pair(
@@ -154,6 +162,28 @@ def get_weierstrass_pair(
     B = 2 * j * a3b % p * denom % p
     ctr.tick(6)  # 3j*a2b, *denom, 2j*a3b, *denom and the j products
     return WeierstrassCurve(A, B)
+
+
+def class_pairs(ctx: FpContext, nr: NonResidueTable
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(j, b, A, B) of every class as int64 arrays, in class_arrays order.
+
+    get_weierstrass_pair in vector form (tested entry for entry); it bills
+    nothing, since no caller measures the cost of a whole sweep's pairs.
+    """
+    p = ctx.p
+    j, b = class_arrays(ctx)
+    # alpha^(k b) at each class, from tables over b < 6, the widest b-range
+    a2b, a3b, a4b, a6b = (
+        np.array([pow(a, k * e, p) for e in range(6)], dtype=np.int64)[b]
+        for a, k in ((nr.alpha2, 2), (nr.alpha2, 3), (nr.alpha4, 1), (nr.alpha6, 1)))
+    denom = _vec_pow(1728 - np.arange(p, dtype=np.int64), p - 2, p)[j]
+    A = 3 * j % p * a2b % p * denom % p
+    B = 2 * j % p * a3b % p * denom % p
+    zero, j1728 = j == 0, j == 1728 % p
+    A[zero], B[zero] = 0, a6b[zero]
+    A[j1728], B[j1728] = a4b[j1728], 0
+    return j, b, A, B
 
 
 def j_invariant(ctx: FpContext, E: WeierstrassCurve) -> int:
@@ -268,24 +298,21 @@ class CurveTableRow:
 def build_curve_table(ctx: FpContext, with_structure: bool = True) -> list[CurveTableRow]:
     """Ground truth for every class: (A, B), cardinality and group shape."""
     p = ctx.p
-    nr = NonResidueTable.for_prime(ctx)
-    classes = enumerate_classes(ctx)
-    curves = [get_weierstrass_pair(ctx, c, nr) for c in classes]
-    A = np.array([E.A for E in curves], dtype=np.int64)
-    B = np.array([E.B for E in curves], dtype=np.int64)
+    j, b, A, B = class_pairs(ctx, NonResidueTable.for_prime(ctx))
     # off j = 0, 1728 the class (j, 1) is the alpha_2-twist of (j, 0), the
     # class just before it, so only b = 0 is counted there
-    twist = np.array([c.b == 1 and c.j not in (0, 1728 % p) for c in classes], dtype=bool)
-    cards = np.empty(len(classes), dtype=np.int64)
+    twist = (b == 1) & (j != 0) & (j != 1728 % p)
+    cards = np.empty(j.size, dtype=np.int64)
     cards[~twist] = count_points_batch(ctx, A[~twist], B[~twist])
     cards[twist] = 2 * p + 2 - cards[np.flatnonzero(twist) - 1]
     rows = []
-    for c, E, card in zip(classes, curves, cards):
+    for jc, bc, Ac, Bc, card in zip(j.tolist(), b.tolist(), A.tolist(), B.tolist(),
+                                    cards.tolist()):
         if with_structure:
-            m, k = group_structure(ctx, E, int(card))
+            m, k = group_structure(ctx, WeierstrassCurve(Ac, Bc), card)
         else:
             m, k = 0, 0
-        rows.append(CurveTableRow(c.j, c.b, E.A, E.B, int(card), m, k))
+        rows.append(CurveTableRow(jc, bc, Ac, Bc, card, m, k))
     return rows
 
 

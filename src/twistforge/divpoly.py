@@ -256,7 +256,6 @@ def eval_division_poly(
     win = base_window(amb, sched.sigmas[-1])
     for branch in sched.branch_bits:
         win = window_double(amb, win, branch)
-    assert win.base == ell
     return win[0]
 
 
@@ -305,10 +304,12 @@ def _vec_g1(v: list[np.ndarray], n: int, w2: np.ndarray, p: int) -> np.ndarray:
     return (t1 - t2) % p
 
 
-def _vec_g2(v: list[np.ndarray], w: np.ndarray, inv2w: np.ndarray, p: int) -> np.ndarray:
+def _vec_g2(v: list[np.ndarray], p: int) -> np.ndarray:
+    # the scalar path's c / (2y) carried as c w / (2w), which is c / 2 since
+    # callers exclude w = 0
     c_nm2, c_nm1, c_n, c_np1, c_np2 = v
     inner = (c_nm1 * c_nm1 % p * c_np2 - c_nm2 * (c_np1 * c_np1 % p)) % p
-    return inner * c_n % p * w % p * inv2w % p
+    return inner * c_n % p * ((p + 1) // 2) % p
 
 
 class BatchAmbient:
@@ -322,13 +323,12 @@ class BatchAmbient:
         self.x = x % p
         self.w = (self.x * self.x % p * self.x + self.A * self.x + self.B) % p
         self.w2 = self.w * self.w % p
-        self.inv2w = _vec_pow(2 * self.w % p, p - 2, p)
 
     def _g(self, v: list[np.ndarray], entry: tuple[bool, int, int]) -> np.ndarray:
         is_g1, off, n = entry
         if is_g1:
             return _vec_g1(v[off:off + 4], n, self.w2, self.p)
-        return _vec_g2(v[off:off + 5], self.w, self.inv2w, self.p)
+        return _vec_g2(v[off:off + 5], self.p)
 
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:
         """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
@@ -350,5 +350,4 @@ class BatchAmbient:
         for branch in sched.branch_bits:
             k, plan = double_step(k, branch)
             win = [self._g(win, e) for e in plan]
-        assert k == ell
         return win[0]

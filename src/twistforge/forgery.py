@@ -137,26 +137,27 @@ def batch_G(ctx: FpContext, A: np.ndarray, B: np.ndarray, x: int | np.ndarray,
     return g
 
 
-def batch_marked(ctx: FpContext, classes: list[CurveClass], s: SerialNumber,
-                 cfg: OracleConfig, nr: NonResidueTable) -> np.ndarray:
-    """oracle_predicate over a class list, as a boolean numpy array.
+def batch_marked(ctx: FpContext, A: np.ndarray, B: np.ndarray, s: SerialNumber,
+                 cfg: OracleConfig) -> np.ndarray:
+    """oracle_predicate over the classes with Weierstrass pairs (A_i, B_i),
+    as a boolean numpy array.
 
     Agrees with the scalar predicate on every input (tested); the vector
-    route only changes the cost profile, not the decision.
+    route only changes the cost profile, not the decision.  strict_or sweeps
+    x = 0 over every class, then the survivors over x in rounds of 2, 4,
+    8, ... abscissae, each round one batch_G call.
     """
-    A = np.empty(len(classes), dtype=np.int64)
-    B = np.empty(len(classes), dtype=np.int64)
-    for i, c in enumerate(classes):
-        E = curves.get_weierstrass_pair(ctx, c, nr)
-        A[i], B[i] = E.A, E.B
     if cfg.mode == "paper_sum":
         return sum(batch_G(ctx, A, B, x, s) for x in range(cfg.tau)) % ctx.p == 0
-    alive = np.arange(len(classes))
-    for x in range(cfg.tau):
-        if alive.size == 0:
-            break
-        alive = alive[batch_G(ctx, A[alive], B[alive], x, s) == 0]
-    marked = np.zeros(len(classes), dtype=bool)
+    alive = np.flatnonzero(batch_G(ctx, A, B, 0, s) == 0)
+    lo, width = 1, 2
+    while alive.size and lo < cfg.tau:
+        xs = np.arange(lo, min(lo + width, cfg.tau), dtype=np.int64)
+        g = batch_G(ctx, np.repeat(A[alive], xs.size), np.repeat(B[alive], xs.size),
+                    np.tile(xs, alive.size), s)
+        alive = alive[(g.reshape(alive.size, xs.size) == 0).all(axis=1)]
+        lo, width = lo + width, 2 * width
+    marked = np.zeros(len(A), dtype=bool)
     marked[alive] = True
     return marked
 

@@ -108,21 +108,21 @@ def run_search(
     cfg: OracleConfig,
     seed: int = 0,
     nr: NonResidueTable | None = None,
-    classes: list[curves.CurveClass] | None = None,
     marked: np.ndarray | None = None,
 ) -> SearchResult:
     """Run plan.iterations rounds of oracle + diffusion and measure once."""
-    nr = nr if nr is not None else NonResidueTable.for_prime(ctx)
-    classes = classes if classes is not None else curves.enumerate_classes(ctx)
     if marked is None:
-        marked = forgery.batch_marked(ctx, classes, s, cfg, nr)
+        nr = nr if nr is not None else NonResidueTable.for_prime(ctx)
+        _, _, A, B = curves.class_pairs(ctx, nr)
+        marked = forgery.batch_marked(ctx, A, B, s, cfg)
     marked = np.asarray(marked, dtype=bool)
-    if marked.size != len(classes):
+    j, b = curves.class_arrays(ctx)
+    if marked.size != j.size:
         raise ValueError("marked mask size mismatch")
     if not marked.any():
         raise NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     idx = np.flatnonzero(marked)
-    v = init_uniform(len(classes))
+    v = init_uniform(j.size)
     for _ in range(plan.iterations):
         v = apply_oracle(v, idx)
         v = diffuse(v)
@@ -137,6 +137,6 @@ def run_search(
         marked_indices=idx,
         conditional_distribution=conditional,
         sample_index=sample,
-        sample_class=classes[sample],
+        sample_class=curves.CurveClass(int(j[sample]), int(b[sample])),
         iterations=plan.iterations,
     )

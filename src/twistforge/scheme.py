@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classnum, curves, forgery, grover
-from .curves import CurveClass, CurveTableRow, NonResidueTable
+from .curves import CurveClass, CurveTableRow, NonResidueTable, WeierstrassCurve
 from .fp_arith import FpContext, MultCounter
 from .forgery import OracleConfig, SerialNumber
 
@@ -47,26 +47,28 @@ def mint(
     """
     p = ctx.p
     if table is None:
-        nr = NonResidueTable.for_prime(ctx)
-        classes = curves.enumerate_classes(ctx)
+        j, b, A, B = curves.class_pairs(ctx, NonResidueTable.for_prime(ctx))
+        n_classes = j.size
 
         def card(i: int) -> int:
-            return curves.count_points(ctx, curves.get_weierstrass_pair(ctx, classes[i], nr))
+            return curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i])))
 
         def fiber(sigma: int) -> list[CurveClass]:
-            marked = forgery.batch_marked(ctx, classes, SerialNumber(sigma, p),
-                                          OracleConfig.for_prime(p), nr)
-            return [classes[i] for i in np.flatnonzero(marked) if card(i) == sigma]
+            marked = forgery.batch_marked(ctx, A, B, SerialNumber(sigma, p),
+                                          OracleConfig.for_prime(p))
+            return [CurveClass(int(j[i]), int(b[i]))
+                    for i in np.flatnonzero(marked) if card(i) == sigma]
     else:
         classes = [CurveClass(r.j, r.b) for r in table]
         cards = [r.cardinality for r in table]
         card = cards.__getitem__
+        n_classes = len(table)
 
         def fiber(sigma: int) -> list[CurveClass]:
             return [c for c, n in zip(classes, cards) if n == sigma]
     rng = random.Random(seed)
-    for _ in range(10 * len(classes)):
-        sigma = card(rng.randrange(len(classes)))
+    for _ in range(10 * n_classes):
+        sigma = card(rng.randrange(n_classes))
         if sigma == p + 1:
             continue
         if classnum.frobenius_discriminant(p, sigma).accepted:
@@ -108,17 +110,16 @@ def forge(
 ) -> ForgeResult:
     """End-to-end attack: plan, search, sample, re-verify, rebuild support."""
     nr = NonResidueTable.for_prime(ctx)
-    classes = curves.enumerate_classes(ctx)
-    marked = forgery.batch_marked(ctx, classes, s, cfg, nr)
+    j, b, A, B = curves.class_pairs(ctx, nr)
+    marked = forgery.batch_marked(ctx, A, B, s, cfg)
     m = int(marked.sum())
     if m == 0:
         raise grover.NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     plan = grover.plan_iterations(ctx, s, h=m)
-    result = grover.run_search(ctx, s, plan, cfg, seed=seed, nr=nr,
-                               classes=classes, marked=marked)
+    result = grover.run_search(ctx, s, plan, cfg, seed=seed, nr=nr, marked=marked)
     sample = result.sample_class
     passes = check_serial(ctx, sample, s, cfg, nr) == 1
-    support = tuple(c for c, hit in zip(classes, marked) if hit)
+    support = tuple(map(CurveClass, j[marked].tolist(), b[marked].tolist()))
     note = Banknote(ctx.p, s, support)
     return ForgeResult(note, result.success_probability, plan.iterations,
                        sample, passes)

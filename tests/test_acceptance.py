@@ -196,7 +196,7 @@ def test_criterion_05_oracle_exactness():
         cfg = OracleConfig.for_prime(p)
         for sigma in _valid_sigmas(p):
             s = SerialNumber(sigma, p)
-            marked = forgery.batch_marked(lab.ctx, lab.classes, s, cfg, lab.nr)
+            marked = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, cfg)
             truth = lab.marked_truth(sigma)
             sigmas_checked += 1
             for i in np.nonzero(marked & ~truth)[0]:
@@ -251,7 +251,7 @@ def test_criterion_06_corollary_rate():
     fp_total = 0
     for sigma in _valid_sigmas(p):
         s = SerialNumber(sigma, p)
-        marked = forgery.batch_marked(lab.ctx, lab.classes, s, cfg, lab.nr)
+        marked = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, cfg)
         fp_total += int((marked & ~lab.marked_truth(sigma)).sum())
     ok = mismatches == 0 and over_bound == 0 and fp_total == 0
     record_criterion(6, "Corollary rate: per-x zero fraction and tau decay",
@@ -335,8 +335,7 @@ def test_criterion_09_grover_fidelity():
         s = SerialNumber(sigma, p)
         plan = grover.plan_iterations(lab.ctx, s, h=m)
         res = grover.run_search(lab.ctx, s, plan, cfg, seed=0,
-                                nr=lab.nr, classes=lab.classes,
-                                marked=lab.marked_truth(sigma))
+                                nr=lab.nr, marked=lab.marked_truth(sigma))
         closed = grover.grover_success(len(lab.classes), m, plan.iterations)
         worst_dev = max(worst_dev, abs(res.success_probability - closed))
         worst_cond = max(worst_cond, float(
@@ -384,7 +383,7 @@ def test_criterion_11_mint_verify_roundtrip():
     support_fail = []
     for sigma, support in supports.items():
         s = SerialNumber(sigma, p)
-        marked = forgery.batch_marked(lab.ctx, lab.classes, s, cfg, lab.nr)
+        marked = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, cfg)
         minted = {(c.j, c.b) for c in support}
         oracle_set = {(c.j, c.b) for c, hit in zip(lab.classes, marked) if hit}
         truth = {(c.j, c.b) for c, n in zip(lab.classes, lab.cards) if n == sigma}

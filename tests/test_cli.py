@@ -179,3 +179,18 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2
     rc, _, _ = run(["no-such-command"], capsys)
     assert rc == 2
+    oracle = ["--p", "101", "--sigma", "103"]
+    for argv in (
+        ["check-serial", *oracle, "--j", "5", "--b", "0", "--tau", "0"],
+        ["check-serial", *oracle, "--j", "5", "--b", "0", "--tau", "-2"],
+        ["forge-sim", *oracle, "--tau", "0"],
+        ["forge-sim", *oracle, "--tau", "-2"],
+        ["forge-sim", *oracle, "--seed", "-1"],
+        ["audit", *oracle, "--tau", "0"],
+        ["audit", *oracle, "--tau", "-2"],
+        ["fp-experiment", *oracle, "--taus", "-1"],
+        ["fp-experiment", *oracle, "--taus", "a"],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: "), (argv, err)

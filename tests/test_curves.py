@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import twistforge
@@ -42,6 +43,24 @@ def test_class_counts():
         classes = curves.enumerate_classes(ctx)
         assert len(classes) == curves.class_count(ctx) == expected
         assert len(set(classes)) == len(classes)
+
+
+def test_class_pairs_match_scalar_pairs():
+    """class_pairs is get_weierstrass_pair at every class, in the order of
+    the nested (j, b-range) loop; p = 109 = 1 mod 12 has 6 classes at j = 0
+    and 4 at j = 1728."""
+    for p in (5, 7, 11, 13, 101, 109, 499, 1009):
+        ctx = FpContext(p)
+        nr = NonResidueTable.for_prime(ctx)
+        j, b, A, B = curves.class_pairs(ctx, nr)
+        loop = [(jj, bb) for jj in range(p) for bb in range(curves.b_range(ctx, jj))]
+        assert list(zip(j.tolist(), b.tolist())) == loop, p
+        assert all(x.dtype == np.int64 for x in (j, b, A, B))
+        want = [curves.get_weierstrass_pair(ctx, CurveClass(jj, bb), nr) for jj, bb in loop]
+        assert list(zip(A.tolist(), B.tolist())) == [(E.A, E.B) for E in want], p
+    ctx = FpContext(109)
+    j, _, _, _ = curves.class_pairs(ctx, NonResidueTable.for_prime(ctx))
+    assert (j == 0).sum() == 6 and (j == 1728 % 109).sum() == 4
 
 
 def test_pair_worked_example_p11():

@@ -118,14 +118,25 @@ def test_make_schedule_worked_example():
         divpoly.make_schedule(0)
 
 
+def _walk_schedule(ell):
+    """The base the doubling plan of both backends ends on for psi_ell."""
+    sched = divpoly.make_schedule(ell)
+    base = sched.sigmas[-1]
+    assert 1 <= base <= 5
+    for branch in sched.branch_bits:
+        base, plan = divpoly.double_step(base, branch)
+        assert len(plan) == 10
+    return base
+
+
 def test_schedule_reaches_every_ell():
-    for ell in range(1, 400):
-        sched = divpoly.make_schedule(ell)
-        base = sched.sigmas[-1]
-        assert 1 <= base <= 5
-        for branch in sched.branch_bits:
-            base = 2 * base + 4 if branch == 1 else 2 * base + 5
-        assert base == ell
+    for ell in range(1, 4097):
+        assert _walk_schedule(ell) == ell
+
+
+@given(st.integers(min_value=1, max_value=2**31 - 1))
+def test_schedule_reaches_large_ell(ell):
+    assert _walk_schedule(ell) == ell
 
 
 def test_window_double_matches_direct():

@@ -89,10 +89,28 @@ def test_batch_marked_matches_scalar(lab101):
     for sigma in (93, 103, 111, 120):
         s = SerialNumber(sigma, lab101.p)
         for cfg in cfgs:
-            marked = forgery.batch_marked(lab101.ctx, lab101.classes, s, cfg, lab101.nr)
+            marked = forgery.batch_marked(lab101.ctx, lab101.A, lab101.B, s, cfg)
             for c, hit in zip(lab101.classes, marked):
                 bit = forgery.oracle_predicate(lab101.ctx, c, s, cfg, lab101.nr)
                 assert bit == int(hit), (sigma, cfg.mode, c)
+
+
+def test_batch_marked_matches_per_x_sweep(lab1009):
+    """The doubling rounds keep exactly the classes a one-x-at-a-time
+    strict_or sweep keeps, including taus that end mid-round."""
+    lab = lab1009
+    band = lab.valid_sigmas()
+    sigmas = band[::len(band) // 10][:10]
+    for tau in (1, 2, 3, 7, 8, OracleConfig.for_prime(lab.p).tau):
+        for sigma in sigmas:
+            s = SerialNumber(sigma, lab.p)
+            alive = np.arange(len(lab.A))
+            for x in range(tau):
+                alive = alive[forgery.batch_G(lab.ctx, lab.A[alive], lab.B[alive], x, s) == 0]
+            want = np.zeros(len(lab.A), dtype=bool)
+            want[alive] = True
+            got = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, OracleConfig(tau))
+            assert (got == want).all(), (tau, sigma)
 
 
 def test_batch_G_matches_scalar(lab101):
@@ -116,12 +134,10 @@ def test_paper_sum_cancellation_witnesses(lab101):
     """paper_sum admits field-sum cancellation false positives that
     strict_or does not; at p=101, sigma=103 the two witnesses are known."""
     s = SerialNumber(103, lab101.p)
-    strict = forgery.batch_marked(lab101.ctx, lab101.classes, s,
-                                  OracleConfig.for_prime(101, mode="strict_or"),
-                                  lab101.nr)
-    summed = forgery.batch_marked(lab101.ctx, lab101.classes, s,
-                                  OracleConfig.for_prime(101, mode="paper_sum"),
-                                  lab101.nr)
+    strict = forgery.batch_marked(lab101.ctx, lab101.A, lab101.B, s,
+                                  OracleConfig.for_prime(101, mode="strict_or"))
+    summed = forgery.batch_marked(lab101.ctx, lab101.A, lab101.B, s,
+                                  OracleConfig.for_prime(101, mode="paper_sum"))
     diff = {(lab101.classes[i].j, lab101.classes[i].b)
             for i in np.nonzero(strict != summed)[0]}
     assert diff == {(31, 0), (55, 0)}

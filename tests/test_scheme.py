@@ -42,8 +42,7 @@ def test_mint_verify_duality(lab101):
     note = scheme.mint(lab101.ctx, seed=3)
     cfg = OracleConfig.for_prime(101)
     support = set(note.support)
-    marked = forgery.batch_marked(lab101.ctx, lab101.classes, note.serial,
-                                  cfg, lab101.nr)
+    marked = forgery.batch_marked(lab101.ctx, lab101.A, lab101.B, note.serial, cfg)
     for c, hit in zip(lab101.classes, marked):
         assert int(hit) == (1 if c in support else 0)
     # scalar spot checks on both sides of the boundary
@@ -66,7 +65,7 @@ def test_mint_accepts_prebuilt_table():
 def test_mint_confirms_marked_support_by_count(lab101, monkeypatch):
     """A sweep that marks every class still yields exactly the sigma fiber."""
     monkeypatch.setattr(forgery, "batch_marked",
-                        lambda ctx, classes, *_: np.ones(len(classes), dtype=bool))
+                        lambda ctx, A, *_: np.ones(len(A), dtype=bool))
     note = scheme.mint(lab101.ctx, seed=0)
     expect = [c for c, n in zip(lab101.classes, lab101.cards)
               if n == note.serial.sigma]
@@ -91,6 +90,28 @@ def test_mint_peak_memory_is_linear_in_p():
     rc, hwm_kib = map(int, proc.stderr.split())
     assert rc == 0
     assert hwm_kib < 150 * 1024, hwm_kib
+
+
+def test_forge_and_mint_build_no_class_list(lab1009, monkeypatch):
+    """forge and mint work on the pair arrays: no class enumeration, and
+    the only scalar pair is the forged sample's re-verification."""
+    pairs = []
+    real_pair = curves.get_weierstrass_pair
+
+    def enumerate_classes(ctx):
+        raise AssertionError("enumerate_classes called")
+
+    def get_weierstrass_pair(*args, **kwargs):
+        pairs.append(args[1])
+        return real_pair(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "enumerate_classes", enumerate_classes)
+    monkeypatch.setattr(curves, "get_weierstrass_pair", get_weierstrass_pair)
+    res = scheme.forge(lab1009.ctx, SerialNumber(1012, 1009), OracleConfig.for_prime(1009))
+    assert pairs == [res.sample]
+    pairs.clear()
+    scheme.mint(lab1009.ctx, seed=0)
+    assert pairs == []
 
 
 def test_forge_end_to_end(lab101):
