@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import classnum, curves, estimator, forgery, grover, scheme
 from .curves import CurveClass
@@ -225,6 +226,7 @@ def cmd_fp_experiment(args) -> list[dict]:
     } for r in rows]
 
 
+@lru_cache(maxsize=None)  # built on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistforge",

@@ -137,6 +137,13 @@ def psi_entry(m: int, k: int) -> tuple[bool, int, int]:
     return False, n - 2 - k, n
 
 
+def _rem(c, p):
+    """c mod p in [0, p) for either sign of c, as int or int64 array.  With
+    p a scalar, numpy's // by it is a multiply and shift, where % divides
+    element by element."""
+    return c - c // p * p
+
+
 def _psi3_psi4(mul, x, A, B, p):
     """Yields the coefficient of psi_3, then that of psi_4 = c * y.
 
@@ -148,7 +155,7 @@ def _psi3_psi4(mul, x, A, B, p):
     ax2 = mul(A, x2)
     bx = mul(B, x)
     a2 = mul(A, A)
-    yield (3 * x4 + 6 * ax2 + 12 * bx - a2) % p
+    yield _rem(3 * x4 + 6 * ax2 + 12 * bx - a2, p)
     x6 = mul(x4, x2)
     ax4 = mul(A, x4)
     bx3 = mul(bx, x2)
@@ -156,8 +163,8 @@ def _psi3_psi4(mul, x, A, B, p):
     abx = mul(A, bx)
     a3 = mul(a2, A)
     b2 = mul(B, B)
-    inner = (2 * x6 + 10 * ax4 + 40 * bx3 - 10 * a2x2 - 8 * abx - 2 * a3 - 16 * b2) % p
-    yield 2 * inner % p
+    inner = _rem(2 * x6 + 10 * ax4 + 40 * bx3 - 10 * a2x2 - 8 * abx - 2 * a3 - 16 * b2, p)
+    yield _rem(2 * inner, p)
 
 
 def _g(amb: Ambient, v, entry: tuple[bool, int, int]) -> TwistedValue:
@@ -284,32 +291,53 @@ def eval_division_poly_direct(
 
 def _vec_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     result = np.ones_like(a)
-    base = a % p
+    base = _rem(a, p)
     while e:
         if e & 1:
-            result = result * base % p
-        base = base * base % p
+            result = _rem(result * base, p)
+        base = _rem(base * base, p)
         e >>= 1
     return result
 
 
 def _vec_g1(v: list[np.ndarray], n: int, w2: np.ndarray, p: int) -> np.ndarray:
     c_nm1, c_n, c_np1, c_np2 = v
-    t1 = c_np2 * (c_n * c_n % p) % p * c_n % p
-    t2 = c_nm1 * (c_np1 * c_np1 % p) % p * c_np1 % p
+    t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
+    t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
     if n % 2 == 0:
-        t1 = t1 * w2 % p
+        t1 = _rem(t1 * w2, p)
     else:
-        t2 = t2 * w2 % p
-    return (t1 - t2) % p
+        t2 = _rem(t2 * w2, p)
+    return _rem(t1 - t2, p)
 
 
 def _vec_g2(v: list[np.ndarray], p: int) -> np.ndarray:
     # the scalar path's c / (2y) carried as c w / (2w), which is c / 2 since
-    # callers exclude w = 0
+    # callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
     c_nm2, c_nm1, c_n, c_np1, c_np2 = v
-    inner = (c_nm1 * c_nm1 % p * c_np2 - c_nm2 * (c_np1 * c_np1 % p)) % p
-    return inner * c_n % p * ((p + 1) // 2) % p
+    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 - c_nm2 * _rem(c_np1 * c_np1, p), p)
+    c = _rem(inner * c_n, p)
+    return (c + (c & 1) * p) >> 1
+
+
+@lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
+def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...]]:
+    """The doubling plan of psi_ell cut down to the entries it needs.
+
+    Returns the base k of the schedule, the last base-window entry the first
+    step reads, and per double_step the (index, psi_entry) pairs it keeps.
+    Walking the steps backwards, the last keeps entry 0 only and each earlier
+    one the entries a later one reads; with no step (ell <= 5) the base
+    window needs only its entry 0, psi_ell itself.
+    """
+    sched = make_schedule(ell)
+    need, steps = {0}, []
+    # step i of the walk back doubles the window based at sigmas[i + 1]
+    for k, branch in zip(sched.sigmas[1:], reversed(sched.branch_bits)):
+        plan = double_step(k, branch)[1]
+        steps.append(tuple((i, plan[i]) for i in sorted(need)))
+        need = {off + d for _, (is_g1, off, _) in steps[-1] for d in range(4 if is_g1 else 5)}
+    return sched.sigmas[-1], max(need), tuple(reversed(steps))
 
 
 class BatchAmbient:
@@ -318,11 +346,11 @@ class BatchAmbient:
     def __init__(self, ctx: FpContext, A: np.ndarray, B: np.ndarray, x: np.ndarray):
         p = ctx.p
         self.p = p
-        self.A = A % p
-        self.B = B % p
-        self.x = x % p
-        self.w = (self.x * self.x % p * self.x + self.A * self.x + self.B) % p
-        self.w2 = self.w * self.w % p
+        self.A = _rem(A, p)
+        self.B = _rem(B, p)
+        self.x = _rem(x, p)
+        self.w = _rem(_rem(self.x * self.x, p) * self.x + self.A * self.x + self.B, p)
+        self.w2 = _rem(self.w * self.w, p)
 
     def _g(self, v: list[np.ndarray], entry: tuple[bool, int, int]) -> np.ndarray:
         is_g1, off, n = entry
@@ -335,7 +363,7 @@ class BatchAmbient:
         p, x = self.p, self.x
         one = np.ones_like(x)
         psi = [(p - 1) * one, np.zeros_like(x), one, 2 * one]
-        psi.extend(_psi3_psi4(lambda a, b: a * b % p, x, self.A, self.B, p))
+        psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), x, self.A, self.B, p))
         for m in range(5, upto + 1):
             psi.append(self._g(psi, psi_entry(m, -1)))
         return psi[:upto + 2]
@@ -344,10 +372,11 @@ class BatchAmbient:
         """Coefficient array of psi_ell across all ambients."""
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        sched = make_schedule(ell)
-        k = sched.sigmas[-1]
-        win = self.psi_coeffs(k + 9)[k + 1:]
-        for branch in sched.branch_bits:
-            k, plan = double_step(k, branch)
-            win = [self._g(win, e) for e in plan]
+        k, top, steps = pruned_plan(ell)
+        win = self.psi_coeffs(k + top)[k + 1:]
+        for keep in steps:
+            new = [None] * 10
+            for i, entry in keep:
+                new[i] = self._g(win, entry)
+            win = new
         return win[0]

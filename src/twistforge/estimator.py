@@ -115,9 +115,10 @@ def audit(
     n = math.ceil(math.log2(ctx.p))
     ceiling = ORACLE_MULTS_CONST * n * n
     nr = NonResidueTable.for_prime(ctx)
-    classes = curves.enumerate_classes(ctx)
+    j, b = curves.class_arrays(ctx)
     rng = random.Random(seed)
-    picks = [classes[rng.randrange(len(classes))] for _ in range(sample_size)]
+    picks = [curves.CurveClass(int(j[i]), int(b[i]))
+             for i in (rng.randrange(j.size) for _ in range(sample_size))]
     rows = []
     if target_class is not None:
         picks.insert(0, target_class)

@@ -139,6 +139,24 @@ def test_schedule_reaches_large_ell(ell):
     assert _walk_schedule(ell) == ell
 
 
+def test_pruned_plan_keeps_what_it_reads():
+    """The batch path's plan computes every entry a later step reads, and
+    its walk ends on psi_ell alone."""
+    for ell in range(1, 4097):
+        k, top, steps = divpoly.pruned_plan(ell)
+        sched = divpoly.make_schedule(ell)
+        assert k == sched.sigmas[-1] and len(steps) == len(sched.branch_bits)
+        base, have = k, set(range(top + 1))
+        for branch, keep in zip(sched.branch_bits, steps):
+            base, plan = divpoly.double_step(base, branch)
+            for i, entry in keep:
+                assert entry == plan[i]
+                is_g1, off, _ = entry
+                assert set(range(off, off + (4 if is_g1 else 5))) <= have, (ell, base, i)
+            have = {i for i, _ in keep}
+        assert base == ell and have == {0}
+
+
 def test_window_double_matches_direct():
     ctx, amb = make_ambient()
     win = divpoly.base_window(amb, 3)
@@ -212,7 +230,10 @@ def test_batch_matches_scalar():
         np.array([r[1] for r in rows], dtype=np.int64),
         np.array([r[2] for r in rows], dtype=np.int64),
     )
-    for ell in (1, 2, 3, 5, 8, 21, 103, 202):
+    # schedules of 0 to 3 steps, and the Hasse band (which holds the twist
+    # sigma 2p + 2 - sigma of each of its sigma)
+    hasse = math.isqrt(4 * 101)
+    for ell in [*range(1, 65), *range(102 - hasse, 103 + hasse)]:
         got = ba.eval(ell)
         for i, (A, B, x) in enumerate(rows):
             want = divpoly.eval_division_poly(
@@ -233,8 +254,7 @@ def test_batch_matches_scalar_near_int64_limit(p, data):
         assume((4 * A**3 + 27 * B * B) % p != 0)
         assume((x**3 + A * x + B) % p != 0)
     hasse = math.isqrt(4 * p)  # floor(2 sqrt p)
-    ell = data.draw(st.sampled_from([2, 3, 5, 7])
-                    | st.integers(p + 1 - hasse, p + 1 + hasse))
+    ell = data.draw(st.integers(1, 64) | st.integers(p + 1 - hasse, p + 1 + hasse))
     ba = divpoly.BatchAmbient(ctx, *[np.array(col, dtype=np.int64) for col in zip(*rows)])
     got = ba.eval(ell)
     for i, (A, B, x) in enumerate(rows):
