@@ -230,10 +230,11 @@ def test_batch_matches_scalar():
         np.array([r[1] for r in rows], dtype=np.int64),
         np.array([r[2] for r in rows], dtype=np.int64),
     )
-    # schedules of 0 to 3 steps, and the Hasse band (which holds the twist
-    # sigma 2p + 2 - sigma of each of its sigma)
+    # schedules of 0 to 4 steps, the Hasse band (which holds the twist
+    # sigma 2p + 2 - sigma of each of its sigma), ell = 2p (5 steps) and
+    # 4097 (9 steps)
     hasse = math.isqrt(4 * 101)
-    for ell in [*range(1, 65), *range(102 - hasse, 103 + hasse)]:
+    for ell in [*range(1, 65), *range(102 - hasse, 103 + hasse), 202, 4097]:
         got = ba.eval(ell)
         for i, (A, B, x) in enumerate(rows):
             want = divpoly.eval_division_poly(
