@@ -148,7 +148,6 @@ class ClassNumberReport:
     h_upper: float
     iteration_lower: float
     iteration_upper: float
-    log_base_note: str = "bounds use natural log; 4.251 upper uses log2"
 
 
 def class_number_report(p: int, sigma: int, with_exact: bool = True) -> ClassNumberReport:

@@ -35,7 +35,6 @@ class ResourceReport:
     iterations_upper: float
     total_lower: float
     total_upper: float
-    log_base: str = "log2 for n-dependent counts"
 
 
 def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:

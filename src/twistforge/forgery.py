@@ -84,21 +84,21 @@ def G(ctx: FpContext, E: WeierstrassCurve, x: int, s: SerialNumber,
 
 
 def F(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber, cfg: OracleConfig,
-      ctr: MultCounter, start_x: int = 0) -> int:
-    """Aggregate of G over start_x .. start_x+tau-1.
+      ctr: MultCounter) -> int:
+    """Aggregate of G over x = 0 .. tau-1.
 
     strict_or returns 0 iff every term vanishes (short-circuiting on the
     first nonzero term); paper_sum returns the field sum of all tau terms,
     mirroring the register accumulation of the quantum circuit.
     """
     if cfg.mode == "strict_or":
-        for i in range(cfg.tau):
-            if G(ctx, E, start_x + i, s, ctr) != 0:
+        for x in range(cfg.tau):
+            if G(ctx, E, x, s, ctr) != 0:
                 return 1
         return 0
     total = 0
-    for i in range(cfg.tau):
-        total = (total + G(ctx, E, start_x + i, s, ctr)) % ctx.p
+    for x in range(cfg.tau):
+        total = (total + G(ctx, E, x, s, ctr)) % ctx.p
     return total
 
 
@@ -138,28 +138,44 @@ def batch_G(ctx: FpContext, A: np.ndarray, B: np.ndarray, x: int | np.ndarray,
 
 
 def batch_marked(ctx: FpContext, A: np.ndarray, B: np.ndarray, s: SerialNumber,
-                 cfg: OracleConfig) -> np.ndarray:
+                 cfg: OracleConfig, x0: int | np.ndarray = 0) -> np.ndarray:
     """oracle_predicate over the classes with Weierstrass pairs (A_i, B_i),
     as a boolean numpy array.
 
     Agrees with the scalar predicate on every input (tested); the vector
-    route only changes the cost profile, not the decision.  strict_or sweeps
-    x = 0 over every class, then the survivors over x in rounds of 2, 4,
+    route only changes the cost profile, not the decision.  Class i scans
+    x = x0_i, ..., x0_i + tau - 1 (x0 is one start for every class or an
+    array aligned with A and B).  strict_or sweeps the first abscissa over
+    every class, then the survivors over the next ones in rounds of 2, 4,
     8, ... abscissae, each round one batch_G call.
     """
+    x0 = np.asarray(x0, dtype=np.int64)
     if cfg.mode == "paper_sum":
-        return sum(batch_G(ctx, A, B, x, s) for x in range(cfg.tau)) % ctx.p == 0
-    alive = np.flatnonzero(batch_G(ctx, A, B, 0, s) == 0)
+        return sum(batch_G(ctx, A, B, x0 + x, s) for x in range(cfg.tau)) % ctx.p == 0
+    alive = np.flatnonzero(batch_G(ctx, A, B, x0, s) == 0)
+    x0 = np.broadcast_to(x0, A.shape)
     lo, width = 1, 2
     while alive.size and lo < cfg.tau:
         xs = np.arange(lo, min(lo + width, cfg.tau), dtype=np.int64)
         g = batch_G(ctx, np.repeat(A[alive], xs.size), np.repeat(B[alive], xs.size),
-                    np.tile(xs, alive.size), s)
+                    (x0[alive, None] + xs).ravel(), s)
         alive = alive[(g.reshape(alive.size, xs.size) == 0).all(axis=1)]
         lo, width = lo + width, 2 * width
     marked = np.zeros(len(A), dtype=bool)
     marked[alive] = True
     return marked
+
+
+def fiber(ctx: FpContext, A: np.ndarray, B: np.ndarray, s: SerialNumber) -> np.ndarray:
+    """Indices of the classes with exactly sigma points, in ascending order.
+
+    The strict_or sweep at the default tau has no false negatives (a class
+    with sigma points has G = 0 at every x); an exact count of each marked
+    class drops its false positives.
+    """
+    marked = np.flatnonzero(batch_marked(ctx, A, B, s, OracleConfig.for_prime(ctx.p)))
+    cards = [curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i]))) for i in marked]
+    return marked[np.array(cards, dtype=np.int64) == s.sigma]
 
 
 def g_zero_fraction(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber) -> float:
@@ -202,31 +218,25 @@ def false_positive_experiment(
     """
     import random
 
-    nontargets = [(CurveClass(r.j, r.b), WeierstrassCurve(r.A, r.B))
-                  for r in curves.build_curve_table(ctx, with_structure=False)
-                  if r.cardinality != s.sigma]
+    j, b, A, B = curves.class_pairs(ctx, NonResidueTable.for_prime(ctx))
+    nontargets = np.delete(np.arange(j.size), fiber(ctx, A, B, s))
     rng = random.Random(seed)
     rows = []
     for tau in tau_range:
         if tau == 0:
-            rows.append(FalsePositiveRow(0, 1.0, 1.0, len(nontargets), len(nontargets)))
+            rows.append(FalsePositiveRow(0, 1.0, 1.0, nontargets.size, nontargets.size))
             continue
-        cfg = OracleConfig(tau, mode)
         if trials <= 0:
-            sample = [(c, E, 0) for c, E in nontargets]
+            idx, x0 = nontargets, np.zeros_like(nontargets)
         else:
-            sample = [
-                (*nontargets[rng.randrange(len(nontargets))], rng.randrange(ctx.p))
-                for _ in range(trials)
-            ]
-        zeros = 0
-        witnesses = []
-        for c, E, x0 in sample:
-            if F(ctx, E, s, cfg, MultCounter(), start_x=x0) == 0:
-                zeros += 1
-                witnesses.append((ctx.p, s.sigma, c.j, c.b, x0))
+            draws = [(nontargets[rng.randrange(nontargets.size)], rng.randrange(ctx.p))
+                     for _ in range(trials)]
+            idx, x0 = (np.array(d, dtype=np.int64) for d in zip(*draws))
+        hit = batch_marked(ctx, A[idx], B[idx], s, OracleConfig(tau, mode), x0)
+        witnesses = [(ctx.p, s.sigma, jc, bc, xc) for jc, bc, xc in
+                     zip(j[idx[hit]].tolist(), b[idx[hit]].tolist(), x0[hit].tolist())]
+        zeros, total = len(witnesses), idx.size
         rows.append(FalsePositiveRow(
-            tau, zeros / len(sample), per_x_zero_bound(ctx.p) ** tau,
-            zeros, len(sample), witnesses,
+            tau, zeros / total, per_x_zero_bound(ctx.p) ** tau, zeros, total, witnesses,
         ))
     return rows

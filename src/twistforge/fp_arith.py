@@ -19,10 +19,6 @@ class ZeroInverse(ZeroDivisionError):
     """Raised when inverting 0 in F_p."""
 
 
-class NoRoot(ValueError):
-    """Raised when a square root is requested for a quadratic nonresidue."""
-
-
 class Residue(enum.Enum):
     RESIDUE = 1
     NONRESIDUE = -1
@@ -30,7 +26,7 @@ class Residue(enum.Enum):
 
 
 class MultCounter:
-    """Counter of F_p multiplications. Merging counters sums their counts."""
+    """Counter of F_p multiplications."""
 
     __slots__ = ("count",)
 
@@ -41,9 +37,6 @@ class MultCounter:
 
     def tick(self, n: int = 1) -> None:
         self.count += n
-
-    def merge(self, other: "MultCounter") -> "MultCounter":
-        return MultCounter(self.count + other.count)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MultCounter) and self.count == other.count
@@ -111,13 +104,3 @@ class FpContext:
             return Residue.ZERO
         r = self.pow(w, (self.p - 1) // 2, ctr)
         return Residue.RESIDUE if r == 1 else Residue.NONRESIDUE
-
-    def sqrt(self, w: FieldElement) -> FieldElement:
-        """Exhaustive square root (desk scale); smaller representative wins."""
-        w %= self.p
-        if w == 0:
-            return 0
-        for y in range(1, self.p // 2 + 1):
-            if y * y % self.p == w:
-                return y
-        raise NoRoot(f"{w} is not a square mod {self.p}")

@@ -2,9 +2,9 @@
 curve-class index space.
 
 The oracle is a +-1 phase flip and the start state is real, so amplitudes
-stay real throughout.  The marked set is computed once per search from the
-forgery predicate; iteration planning uses the exact target count when
-available, or the class-number lower bound otherwise.
+stay real throughout.  The caller computes the marked set once per search
+from the forgery predicate; iteration planning uses the exact target count
+when available, or the class-number lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classnum, curves, forgery
-from .curves import NonResidueTable
+from . import classnum, curves
 from .fp_arith import FpContext
-from .forgery import OracleConfig, SerialNumber
+from .forgery import SerialNumber
 
 
 class NoTarget(ValueError):
@@ -30,8 +29,7 @@ def init_uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def apply_oracle(v: np.ndarray, marked) -> np.ndarray:
-    idx = np.asarray(sorted(marked), dtype=np.int64) if not isinstance(marked, np.ndarray) else marked
+def apply_oracle(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= v.size):
         raise IndexError("marked index outside the amplitude space")
     out = v.copy()
@@ -105,16 +103,14 @@ def run_search(
     ctx: FpContext,
     s: SerialNumber,
     plan: SearchPlan,
-    cfg: OracleConfig,
+    marked: np.ndarray,
     seed: int = 0,
-    nr: NonResidueTable | None = None,
-    marked: np.ndarray | None = None,
 ) -> SearchResult:
-    """Run plan.iterations rounds of oracle + diffusion and measure once."""
-    if marked is None:
-        nr = nr if nr is not None else NonResidueTable.for_prime(ctx)
-        _, _, A, B = curves.class_pairs(ctx, nr)
-        marked = forgery.batch_marked(ctx, A, B, s, cfg)
+    """Run plan.iterations rounds of oracle + diffusion and measure once.
+
+    marked is the oracle's boolean mask over the classes in class_arrays
+    order, e.g. from forgery.batch_marked.
+    """
     marked = np.asarray(marked, dtype=bool)
     j, b = curves.class_arrays(ctx)
     if marked.size != j.size:

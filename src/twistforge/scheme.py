@@ -13,8 +13,6 @@ import json
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import classnum, curves, forgery, grover
 from .curves import CurveClass, CurveTableRow, NonResidueTable, WeierstrassCurve
 from .fp_arith import FpContext, MultCounter
@@ -40,10 +38,9 @@ def mint(
     """Sample classes until the Frobenius-discriminant predicate accepts.
 
     Without a table only the drawn classes are counted, O(p) each, and the
-    support is the strict_or sweep's marked set, each member confirmed by an
-    exact count: the sweep has no false negatives (a class with sigma points
-    has G = 0 at every x) and the count drops any false positive.  A table
-    supplies the cardinalities instead.
+    support is forgery.fiber, the strict_or sweep's marked set with each
+    member confirmed by an exact count.  A table supplies the cardinalities
+    instead.
     """
     p = ctx.p
     if table is None:
@@ -53,18 +50,16 @@ def mint(
         def card(i: int) -> int:
             return curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i])))
 
-        def fiber(sigma: int) -> list[CurveClass]:
-            marked = forgery.batch_marked(ctx, A, B, SerialNumber(sigma, p),
-                                          OracleConfig.for_prime(p))
-            return [CurveClass(int(j[i]), int(b[i]))
-                    for i in np.flatnonzero(marked) if card(i) == sigma]
+        def support(sigma: int) -> list[CurveClass]:
+            idx = forgery.fiber(ctx, A, B, SerialNumber(sigma, p))
+            return list(map(CurveClass, j[idx].tolist(), b[idx].tolist()))
     else:
         classes = [CurveClass(r.j, r.b) for r in table]
         cards = [r.cardinality for r in table]
         card = cards.__getitem__
         n_classes = len(table)
 
-        def fiber(sigma: int) -> list[CurveClass]:
+        def support(sigma: int) -> list[CurveClass]:
             return [c for c, n in zip(classes, cards) if n == sigma]
     rng = random.Random(seed)
     for _ in range(10 * n_classes):
@@ -72,7 +67,7 @@ def mint(
         if sigma == p + 1:
             continue
         if classnum.frobenius_discriminant(p, sigma).accepted:
-            return Banknote(p, SerialNumber(sigma, p), tuple(fiber(sigma)))
+            return Banknote(p, SerialNumber(sigma, p), tuple(support(sigma)))
     raise Exhausted(f"no acceptable sigma over F_{p} within the draw cap")
 
 
@@ -116,7 +111,7 @@ def forge(
     if m == 0:
         raise grover.NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     plan = grover.plan_iterations(ctx, s, h=m)
-    result = grover.run_search(ctx, s, plan, cfg, seed=seed, nr=nr, marked=marked)
+    result = grover.run_search(ctx, s, plan, marked, seed=seed)
     sample = result.sample_class
     passes = check_serial(ctx, sample, s, cfg, nr) == 1
     support = tuple(map(CurveClass, j[marked].tolist(), b[marked].tolist()))

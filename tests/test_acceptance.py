@@ -334,8 +334,8 @@ def test_criterion_09_grover_fidelity():
         battery += 1
         s = SerialNumber(sigma, p)
         plan = grover.plan_iterations(lab.ctx, s, h=m)
-        res = grover.run_search(lab.ctx, s, plan, cfg, seed=0,
-                                nr=lab.nr, marked=lab.marked_truth(sigma))
+        marked = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, cfg)
+        res = grover.run_search(lab.ctx, s, plan, marked, seed=0)
         closed = grover.grover_success(len(lab.classes), m, plan.iterations)
         worst_dev = max(worst_dev, abs(res.success_probability - closed))
         worst_cond = max(worst_cond, float(

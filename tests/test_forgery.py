@@ -1,4 +1,6 @@
 
+import random
+
 import numpy as np
 import pytest
 
@@ -97,20 +99,25 @@ def test_batch_marked_matches_scalar(lab101):
 
 def test_batch_marked_matches_per_x_sweep(lab1009):
     """The doubling rounds keep exactly the classes a one-x-at-a-time
-    strict_or sweep keeps, including taus that end mid-round."""
+    strict_or sweep keeps, including taus that end mid-round, from x = 0 and
+    from a start per class (some near p, so x0 + tau wraps)."""
     lab = lab1009
     band = lab.valid_sigmas()
     sigmas = band[::len(band) // 10][:10]
-    for tau in (1, 2, 3, 7, 8, OracleConfig.for_prime(lab.p).tau):
-        for sigma in sigmas:
-            s = SerialNumber(sigma, lab.p)
-            alive = np.arange(len(lab.A))
-            for x in range(tau):
-                alive = alive[forgery.batch_G(lab.ctx, lab.A[alive], lab.B[alive], x, s) == 0]
-            want = np.zeros(len(lab.A), dtype=bool)
-            want[alive] = True
-            got = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, OracleConfig(tau))
-            assert (got == want).all(), (tau, sigma)
+    starts = np.random.default_rng(8).integers(0, lab.p, len(lab.A))
+    starts[::4] = lab.p - 1 - starts[::4] % 8
+    for x0 in (0, starts):
+        for tau in (1, 2, 3, 7, 8, OracleConfig.for_prime(lab.p).tau):
+            for sigma in sigmas:
+                s = SerialNumber(sigma, lab.p)
+                alive = np.arange(len(lab.A))
+                for x in range(tau):
+                    xs = np.broadcast_to(x0, lab.A.shape)[alive] + x
+                    alive = alive[forgery.batch_G(lab.ctx, lab.A[alive], lab.B[alive], xs, s) == 0]
+                want = np.zeros(len(lab.A), dtype=bool)
+                want[alive] = True
+                got = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, OracleConfig(tau), x0)
+                assert (got == want).all(), (tau, sigma)
 
 
 def test_batch_G_matches_scalar(lab101):
@@ -179,3 +186,49 @@ def test_false_positive_experiment_sampled(lab101):
     assert a[0].rate == b[0].rate  # seeded determinism
     assert a[0].total_curves == 50
     assert len(a[0].witnesses) == a[0].zero_curves
+
+
+def _reference_fp_rows(lab, s, taus, trials, seed, mode):
+    """false_positive_experiment by the table filter: the non-targets are
+    the classes whose exact count is not sigma, and each sampled start x0
+    runs the scalar G over x0, ..., x0 + tau - 1."""
+    nontargets = [(c, E) for c, E, n in zip(lab.classes, lab.curves, lab.cards)
+                  if n != s.sigma]
+    rng = random.Random(seed)
+    rows = []
+    for tau in taus:
+        if tau == 0:
+            rows.append((0, repr(1.0), repr(1.0), len(nontargets), len(nontargets), []))
+            continue
+        if trials <= 0:
+            sample = [(c, E, 0) for c, E in nontargets]
+        else:
+            sample = [(*nontargets[rng.randrange(len(nontargets))], rng.randrange(lab.p))
+                      for _ in range(trials)]
+        witnesses = []
+        for c, E, x0 in sample:
+            if mode == "strict_or":
+                zero = all(G(lab.ctx, E, x0 + x, s, MultCounter()) == 0 for x in range(tau))
+            else:
+                zero = sum(G(lab.ctx, E, x0 + x, s, MultCounter()) for x in range(tau)) % lab.p == 0
+            if zero:
+                witnesses.append((lab.p, s.sigma, c.j, c.b, x0))
+        rows.append((tau, repr(len(witnesses) / len(sample)),
+                     repr(forgery.per_x_zero_bound(lab.p) ** tau),
+                     len(witnesses), len(sample), witnesses))
+    return rows
+
+
+@pytest.mark.parametrize("mode", forgery.MODES)
+@pytest.mark.parametrize("trials", [0, 200])
+def test_false_positive_experiment_matches_reference(lab101, mode, trials):
+    """Row for row, witnesses and Python types included (repr), against the
+    table filter and scalar G loop; tau = 5 and 21 end mid-round."""
+    taus = [0, 1, 2, 5, 21]
+    for sigma in (93, 103):
+        s = SerialNumber(sigma, lab101.p)
+        rows = forgery.false_positive_experiment(lab101.ctx, s, taus, trials, seed=4, mode=mode)
+        got = [(r.tau, repr(r.rate), repr(r.bound), r.zero_curves, r.total_curves, r.witnesses)
+               for r in rows]
+        want = _reference_fp_rows(lab101, s, taus, trials, 4, mode)
+        assert repr(got) == repr(want), (sigma, mode, trials)

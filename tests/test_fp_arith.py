@@ -1,8 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from twistforge.fp_arith import (
-    FpContext, MultCounter, NoRoot, Residue, ZeroInverse, is_prime,
+    FpContext, MultCounter, Residue, ZeroInverse, is_prime,
 )
 
 
@@ -70,20 +69,10 @@ def test_euler_criterion_matches_sqrt():
             kind = ctx.euler_criterion(w, MultCounter())
             if w == 0:
                 assert kind is Residue.ZERO
-                assert ctx.sqrt(w) == 0
             elif w in squares:
                 assert kind is Residue.RESIDUE
-                y = ctx.sqrt(w)
-                assert y * y % p == w and y <= p // 2
             else:
                 assert kind is Residue.NONRESIDUE
-                with pytest.raises(NoRoot):
-                    ctx.sqrt(w)
-
-
-@given(st.integers(0, 10**6), st.integers(0, 10**6))
-def test_counter_merge_sums(a, b):
-    assert MultCounter(a).merge(MultCounter(b)) == MultCounter(a + b)
 
 
 def test_counter_basics():
