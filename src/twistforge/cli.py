@@ -191,19 +191,18 @@ def cmd_bounds(args) -> list[dict]:
 
 
 def cmd_estimate(args) -> list[dict]:
-    if args.bits is None and args.p is None:
-        raise UsageError("estimate needs --bits or --p")
-    if args.bits is not None and args.bits < 8:
-        raise UsageError("--bits must be >= 8")
-    if args.p is not None and args.p <= 128:  # ceil(log2 p) >= 8 bits
-        raise UsageError(f"--p must be > 128, got {args.p}")
-    report = estimator.estimate(bits=args.bits, p=args.p)
+    try:
+        report = estimator.estimate(bits=args.bits, p=args.p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return [estimator.report_row(report)]
 
 
 def cmd_audit(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     s = _serial(ctx, args.sigma)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     rows = estimator.audit(ctx, s, _config(ctx, args),
                            sample_size=args.samples, seed=args.seed)
     return [{
@@ -217,7 +216,7 @@ def cmd_audit(args) -> list[dict]:
 def cmd_fp_experiment(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     s = _serial(ctx, args.sigma)
-    taus = _taus(args.taus) if args.taus else [1, 2, 4, forgery.default_tau(ctx.p)]
+    taus = _taus(args.taus) if args.taus is not None else [1, 2, 4, forgery.default_tau(ctx.p)]
     rows = forgery.false_positive_experiment(
         ctx, s, taus, trials=args.trials, seed=args.seed, mode=args.mode)
     return [{

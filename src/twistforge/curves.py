@@ -73,20 +73,19 @@ def _cubes_table(p: int) -> np.ndarray:
 
 
 class NonResidueTable:
-    """The twist parameters alpha_2 (quadratic), alpha_4, alpha_6 for a prime.
+    """The twist parameters alpha_2 (quadratic) and alpha_6 for a prime.
 
-    alpha_4 / alpha_6 are the smallest elements generating F_p*/(F_p*)^4
-    resp. F_p*/(F_p*)^6 when those quotients are nontrivial (p = 1 mod 4 /
-    mod 3); otherwise they fall back to the quadratic nonresidue.  A
-    nonsquare generates the order-4 quotient, and a nonsquare noncube the
-    order-6 one, so each is in particular a quartic / sextic nonresidue.
+    alpha_2 is the smallest nonsquare.  When p = 1 mod 4 it also generates
+    the order-4 quotient F_p*/(F_p*)^4, so it twists j = 1728 as well.
+    alpha_6 is the smallest element generating F_p*/(F_p*)^6 when p = 1
+    mod 3 (a nonsquare noncube, in particular a sextic nonresidue), and
+    alpha_2 otherwise.
     """
 
-    __slots__ = ("alpha2", "alpha4", "alpha6")
+    __slots__ = ("alpha2", "alpha6")
 
-    def __init__(self, alpha2: int, alpha4: int, alpha6: int):
+    def __init__(self, alpha2: int, alpha6: int):
         self.alpha2 = alpha2
-        self.alpha4 = alpha4
         self.alpha6 = alpha6
 
     @classmethod
@@ -99,7 +98,7 @@ class NonResidueTable:
             alpha6 = next(a for a in range(2, p) if not sq[a] and not cubes[a])
         else:
             alpha6 = alpha2
-        return cls(alpha2, alpha2, alpha6)
+        return cls(alpha2, alpha6)
 
 
 def b_range(ctx: FpContext, j: int) -> int:
@@ -154,7 +153,7 @@ def get_weierstrass_pair(
     if j == 0:
         return WeierstrassCurve(0, ctx.pow(nr.alpha6, c.b, ctr))
     if j == 1728 % p:
-        return WeierstrassCurve(ctx.pow(nr.alpha4, c.b, ctr), 0)
+        return WeierstrassCurve(ctx.pow(nr.alpha2, c.b, ctr), 0)
     denom = ctx.inv((1728 - j) % p)
     a2b = ctx.pow(nr.alpha2, 2 * c.b, ctr)
     a3b = ctx.pow(nr.alpha2, 3 * c.b, ctr)
@@ -174,15 +173,15 @@ def class_pairs(ctx: FpContext, nr: NonResidueTable
     p = ctx.p
     j, b = class_arrays(ctx)
     # alpha^(k b) at each class, from tables over b < 6, the widest b-range
-    a2b, a3b, a4b, a6b = (
+    a2b, a3b, a1b, a6b = (
         np.array([pow(a, k * e, p) for e in range(6)], dtype=np.int64)[b]
-        for a, k in ((nr.alpha2, 2), (nr.alpha2, 3), (nr.alpha4, 1), (nr.alpha6, 1)))
+        for a, k in ((nr.alpha2, 2), (nr.alpha2, 3), (nr.alpha2, 1), (nr.alpha6, 1)))
     denom = _vec_pow(1728 - np.arange(p, dtype=np.int64), p - 2, p)[j]
     A = 3 * j % p * a2b % p * denom % p
     B = 2 * j % p * a3b % p * denom % p
     zero, j1728 = j == 0, j == 1728 % p
     A[zero], B[zero] = 0, a6b[zero]
-    A[j1728], B[j1728] = a4b[j1728], 0
+    A[j1728], B[j1728] = a1b[j1728], 0
     return j, b, A, B
 
 

@@ -9,8 +9,7 @@ multiplications), hence at most 80 multiplications per doubling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -189,61 +188,36 @@ def psi_sequence(amb: Ambient, upto: int) -> list[TwistedValue]:
     return psi[:upto + 2]
 
 
-@dataclass(frozen=True)
-class PsiWindow:
-    """psi_base .. psi_{base+9} in one tuple."""
+@lru_cache(maxsize=256)  # the oracle walks the same plan at every x
+def step_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...]]:
+    """The windowed doubling schedule of psi_ell.
 
-    base: int
-    entries: tuple[TwistedValue, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != 10:
-            raise ValueError("window holds exactly 10 entries")
-
-    def __getitem__(self, i: int) -> TwistedValue:
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
-class DoublingSchedule:
-    """sigma_0 > sigma_1 > ... > sigma_r <= 5 plus forward branch bits."""
-
-    sigmas: list[int]
-    branch_bits: list[int]
-
-
-def make_schedule(sigma: int) -> DoublingSchedule:
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    sigmas = [sigma]
+    The chain sigma_0 = ell > sigma_1 > ... > sigma_r = k <= 5 steps down by
+    sigma_{i+1} = (sigma_i - 4) // 2, since one doubling step maps the window
+    based at b to the one based at 2b + 4 or 2b + 5.  Returns k, the last
+    entry (9) of the base window psi_k .. psi_{k+9}, and per step, first to
+    last, the (index, psi_entry) pair of each of its 10 output entries.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    sigmas = [ell]
     while sigmas[-1] > 5:
-        s = sigmas[-1]
-        sigmas.append((s - 4) // 2 if s % 2 == 0 else (s - 5) // 2)
-    # branch to apply when moving from sigma_{i+1} up to sigma_i
-    bits = [1 if s % 2 == 0 else 2 for s in sigmas[:-1]]
-    return DoublingSchedule(sigmas, bits[::-1])
+        sigmas.append((sigmas[-1] - 4) // 2)
+    bases = sigmas[::-1]  # k, then the base after each step, ending on ell
+    steps = tuple(tuple((i, psi_entry(new + i, base)) for i in range(10))
+                  for base, new in zip(bases, bases[1:]))
+    return bases[0], 9, steps
 
 
-def base_window(amb: Ambient, base: int) -> PsiWindow:
-    psi = psi_sequence(amb, base + 9)
-    return PsiWindow(base, tuple(psi[base + 1:base + 11]))
-
-
-@lru_cache(maxsize=256)  # the oracle walks the same steps at every x
-def double_step(k: int, branch: int) -> tuple[int, tuple[tuple[bool, int, int], ...]]:
-    """Plan of one doubling step from the window based at k: branch 1 maps
-    base k to 2k+4, branch 2 to 2k+5.  Returns the new base and, for each of
-    the 10 output entries, its psi_entry."""
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    new_base = 2 * k + 4 if branch == 1 else 2 * k + 5
-    return new_base, tuple(psi_entry(new_base + i, k) for i in range(10))
-
-
-def window_double(amb: Ambient, win: PsiWindow, branch: int) -> PsiWindow:
-    """One doubling step of the scalar window."""
-    new_base, plan = double_step(win.base, branch)
-    return PsiWindow(new_base, tuple(_g(amb, win.entries, e) for e in plan))
+def _walk(win: list, steps, g):
+    """Runs the steps of a plan from its base window and returns entry 0;
+    g(win, entry) computes one entry of the next window from the last."""
+    for step in steps:
+        new = [None] * 10
+        for i, entry in step:
+            new[i] = g(win, entry)
+        win = new
+    return win[0]
 
 
 def eval_division_poly(
@@ -253,17 +227,13 @@ def eval_division_poly(
     ell: int,
     ctr: MultCounter,
 ) -> TwistedValue:
-    """psi_ell(A, B, x) via the doubling schedule; O(log ell) multiplications."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    """psi_ell(A, B, x) via the doubling schedule; O(log ell) multiplications.
+    Each step computes all 10 entries, as the 80-per-bit budget bills them."""
+    k, top, steps = step_plan(ell)
     amb = Ambient(ctx, E, x, ctr)
     if amb.w == 0:
         raise TwoTorsionAmbient(f"x={x} is a two-torsion abscissa on this curve")
-    sched = make_schedule(ell)
-    win = base_window(amb, sched.sigmas[-1])
-    for branch in sched.branch_bits:
-        win = window_double(amb, win, branch)
-    return win[0]
+    return _walk(psi_sequence(amb, k + top)[k + 1:], steps, partial(_g, amb))
 
 
 def eval_division_poly_direct(
@@ -284,8 +254,8 @@ def eval_division_poly_direct(
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation over many (A, B, x) ambients at once.  Same base
-# formula and step plan as above, with the parity tracked structurally by
-# index; products of two elements of [0, p) with p < 2**31 fit in int64.
+# formula, step plan and walk as above, with the parity tracked structurally
+# by index; products of two elements of [0, p) with p < 2**31 fit in int64.
 # ---------------------------------------------------------------------------
 
 
@@ -322,22 +292,19 @@ def _vec_g2(v: list[np.ndarray], p: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
 def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...]]:
-    """The doubling plan of psi_ell cut down to the entries it needs.
+    """step_plan(ell) cut down to the entries the walk needs.
 
-    Returns the base k of the schedule, the last base-window entry the first
-    step reads, and per double_step the (index, psi_entry) pairs it keeps.
-    Walking the steps backwards, the last keeps entry 0 only and each earlier
-    one the entries a later one reads; with no step (ell <= 5) the base
-    window needs only its entry 0, psi_ell itself.
+    Walking the steps backwards, the last keeps entry 0 only and each
+    earlier one the entries a later one reads; top is the last base-window
+    entry the first step reads.  With no step (ell <= 5) the base window
+    needs only its entry 0, psi_ell itself.
     """
-    sched = make_schedule(ell)
+    k, _, full = step_plan(ell)
     need, steps = {0}, []
-    # step i of the walk back doubles the window based at sigmas[i + 1]
-    for k, branch in zip(sched.sigmas[1:], reversed(sched.branch_bits)):
-        plan = double_step(k, branch)[1]
-        steps.append(tuple((i, plan[i]) for i in sorted(need)))
+    for step in reversed(full):
+        steps.append(tuple(step[i] for i in sorted(need)))
         need = {off + d for _, (is_g1, off, _) in steps[-1] for d in range(4 if is_g1 else 5)}
-    return sched.sigmas[-1], max(need), tuple(reversed(steps))
+    return k, max(need), tuple(reversed(steps))
 
 
 class BatchAmbient:
@@ -370,13 +337,5 @@ class BatchAmbient:
 
     def eval(self, ell: int) -> np.ndarray:
         """Coefficient array of psi_ell across all ambients."""
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
         k, top, steps = pruned_plan(ell)
-        win = self.psi_coeffs(k + top)[k + 1:]
-        for keep in steps:
-            new = [None] * 10
-            for i, entry in keep:
-                new[i] = self._g(win, entry)
-            win = new
-        return win[0]
+        return _walk(self.psi_coeffs(k + top)[k + 1:], steps, self._g)

@@ -42,9 +42,12 @@ def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
     if bits is None:
         if p is None:
             raise ValueError("give bits or p")
-        bits = math.ceil(math.log2(p))
-    if bits < 8:
-        raise ValueError("bits must be >= 8")
+        if p <= 128:
+            raise ValueError(f"p must be > 128 (n >= 8 bits), got {p}")
+        bits = (p - 1).bit_length()  # ceil(log2 p), which float log2 can round down
+    if not 8 <= bits <= 1021:
+        # 4 * 2^n, inside the iteration bounds, overflows a float above n = 1021
+        raise ValueError(f"bits must be in [8, 1021], got {bits}")
     n = bits
     pv = float(p) if p is not None else 2.0**n
     it_lo, it_hi = classnum.iteration_bounds(pv, n)

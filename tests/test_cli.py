@@ -190,6 +190,12 @@ def test_usage_errors_exit_2(capsys):
         ["audit", *oracle, "--tau", "-2"],
         ["fp-experiment", *oracle, "--taus", "-1"],
         ["fp-experiment", *oracle, "--taus", "a"],
+        ["fp-experiment", *oracle, "--taus", ""],
+        ["audit", *oracle, "--samples", "0"],
+        ["audit", *oracle, "--samples", "-3"],
+        ["estimate", "--bits", "1022"],
+        ["estimate", "--bits", "1024"],
+        ["estimate", "--p", str(2**1021 + 1)],
     ):
         rc, out, err = run(argv, capsys)
         assert (rc, out) == (2, ""), argv

@@ -29,7 +29,7 @@ def test_nonresidue_table_properties():
         assert nr.alpha2 not in squares
         assert nr.alpha2 == min(a for a in range(2, p) if a not in squares)
         if p % 4 == 1:
-            assert nr.alpha4 not in fourths
+            assert nr.alpha2 not in fourths
         if p % 3 == 1:
             assert nr.alpha6 not in squares and nr.alpha6 not in cubes
             assert nr.alpha6 not in sixths

@@ -109,23 +109,35 @@ def test_g1_g2_against_direct():
         divpoly.g2(amb, tuple(psi[2:6]))
 
 
-def test_make_schedule_worked_example():
-    sched = divpoly.make_schedule(21)
-    assert sched.sigmas == [21, 8, 2]
-    assert sched.branch_bits == [1, 2]
-    assert divpoly.make_schedule(4).sigmas == [4]
-    with pytest.raises(ValueError):
-        divpoly.make_schedule(0)
+def _output(entry):
+    """The m of the psi_m that a psi_entry computes."""
+    is_g1, _, n = entry
+    return 2 * n + 1 if is_g1 else 2 * n
+
+
+def test_step_plan_worked_example():
+    # 21 = 2 * 8 + 5 and 8 = 2 * 2 + 4
+    k, top, steps = divpoly.step_plan(21)
+    assert (k, top, len(steps)) == (2, 9, 2)
+    for step, (base, new_base) in zip(steps, ((2, 8), (8, 21))):
+        assert step == tuple((i, divpoly.psi_entry(new_base + i, base)) for i in range(10))
+    assert divpoly.step_plan(4) == (4, 9, ())
+    for ell in (0, -3):
+        with pytest.raises(ValueError):
+            divpoly.step_plan(ell)
+        with pytest.raises(ValueError):
+            divpoly.pruned_plan(ell)
 
 
 def _walk_schedule(ell):
     """The base the doubling plan of both backends ends on for psi_ell."""
-    sched = divpoly.make_schedule(ell)
-    base = sched.sigmas[-1]
-    assert 1 <= base <= 5
-    for branch in sched.branch_bits:
-        base, plan = divpoly.double_step(base, branch)
-        assert len(plan) == 10
+    base, top, steps = divpoly.step_plan(ell)
+    assert 1 <= base <= 5 and top == 9
+    for step in steps:
+        new_base = _output(step[0][1])
+        assert new_base in (2 * base + 4, 2 * base + 5), (ell, base, new_base)
+        assert step == tuple((i, divpoly.psi_entry(new_base + i, base)) for i in range(10))
+        base = new_base
     return base
 
 
@@ -140,33 +152,35 @@ def test_schedule_reaches_large_ell(ell):
 
 
 def test_pruned_plan_keeps_what_it_reads():
-    """The batch path's plan computes every entry a later step reads, and
-    its walk ends on psi_ell alone."""
+    """The batch path's plan is the full plan cut to a subset that computes
+    every entry a later step reads, and its walk ends on psi_ell alone."""
     for ell in range(1, 4097):
         k, top, steps = divpoly.pruned_plan(ell)
-        sched = divpoly.make_schedule(ell)
-        assert k == sched.sigmas[-1] and len(steps) == len(sched.branch_bits)
-        base, have = k, set(range(top + 1))
-        for branch, keep in zip(sched.branch_bits, steps):
-            base, plan = divpoly.double_step(base, branch)
+        full_k, full_top, full = divpoly.step_plan(ell)
+        assert k == full_k and top <= full_top and len(steps) == len(full)
+        have = set(range(top + 1))
+        for keep, step in zip(steps, full):
             for i, entry in keep:
-                assert entry == plan[i]
+                assert entry == step[i][1]
                 is_g1, off, _ = entry
-                assert set(range(off, off + (4 if is_g1 else 5))) <= have, (ell, base, i)
+                assert set(range(off, off + (4 if is_g1 else 5))) <= have, (ell, i)
             have = {i for i, _ in keep}
-        assert base == ell and have == {0}
+        assert have == {0}
+        assert (_output(steps[-1][0][1]) if steps else k) == ell
 
 
-def test_window_double_matches_direct():
+def test_step_plan_matches_direct():
+    """Every full step writes psi_base .. psi_{base+9} as psi_sequence does."""
     ctx, amb = make_ambient()
-    win = divpoly.base_window(amb, 3)
-    ref = divpoly.psi_sequence(amb, 40)
-    for branch, new_base in ((1, 10), (2, 11)):
-        out = divpoly.window_double(amb, win, branch)
-        assert out.base == new_base
-        assert out.entries == tuple(ref[new_base + 1:new_base + 11])
-    with pytest.raises(ValueError):
-        divpoly.window_double(amb, win, 3)
+    ref = divpoly.psi_sequence(amb, 1010)
+    for ell in (10, 11, 21, 202, 999):
+        k, top, steps = divpoly.step_plan(ell)
+        win = ref[k + 1:k + top + 2]
+        for step in steps:
+            win = [divpoly._g(amb, win, entry) for _, entry in step]
+            base = _output(step[0][1])
+            assert win == ref[base + 1:base + 11], (ell, base)
+        assert win[0] == ref[ell + 1]
 
 
 def test_eval_matches_direct_small():

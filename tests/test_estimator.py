@@ -36,6 +36,22 @@ def test_estimate_validation():
         estimate(bits=7)
     with pytest.raises(ValueError):
         estimate(p=101)  # ceil(log2 101) = 7 < 8
+    for bits in (1022, 1023, 1024):  # 4 * 2^n overflows a float
+        with pytest.raises(ValueError):
+            estimate(bits=bits)
+    with pytest.raises(ValueError):
+        estimate(p=2**1021 + 1)
+
+
+def test_estimate_bits_of_p_are_exact():
+    """n = ceil(log2 p) in integers, at the edges of the float range."""
+    assert estimate(p=129).p_bits == 8
+    assert estimate(p=2**50).p_bits == 50
+    assert estimate(p=2**50 + 1).p_bits == 51  # float log2 rounds this to 50
+    for r in (estimate(bits=1021), estimate(p=2**1021)):
+        assert r.p_bits == 1021
+        values = (r.iterations_lower, r.iterations_upper, r.total_lower, r.total_upper)
+        assert all(0 < v < math.inf for v in values)
 
 
 def test_estimate_totals_formulas():
