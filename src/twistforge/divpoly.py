@@ -9,7 +9,7 @@ multiplications), hence at most 80 multiplications per doubling.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -166,6 +166,40 @@ def _psi3_psi4(mul, x, A, B, p):
     yield _rem(2 * inner, p)
 
 
+def _coef_g1(v, n: int, w2, p: int):
+    """Coefficient of psi_{2n+1} from those of psi_{n-1}..psi_{n+2}, as
+    ints or int64 arrays; w2 = w^2 is the y^4 of the two even-index factors."""
+    c_nm1, c_n, c_np1, c_np2 = v
+    t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
+    t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
+    if n % 2 == 0:
+        t1 = _rem(t1 * w2, p)
+    else:
+        t2 = _rem(t2 * w2, p)
+    return _rem(t1 - t2, p)
+
+
+def _coef_g2(v, p: int):
+    """Coefficient of psi_{2n} from those of psi_{n-2}..psi_{n+2}."""
+    # Ambient's c / (2y) carried as c w / (2w), which is c / 2 since callers
+    # exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
+    c_nm2, c_nm1, c_n, c_np1, c_np2 = v
+    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 - c_nm2 * _rem(c_np1 * c_np1, p), p)
+    c = _rem(inner * c_n, p)
+    return (c + (c & 1) * p) >> 1
+
+
+def _psi_coeffs(x, A, B, p: int, upto: int, g) -> list:
+    """Coefficients of psi_{-1}..psi_upto at x, as ints or int64 arrays;
+    entry [i] is psi_{i-1}.  g(psi, entry) makes psi_m for m >= 5."""
+    zero = x * 0  # 0, or zeros shaped like x
+    psi = [zero + (p - 1), zero, zero + 1, zero + 2]
+    psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), x, A, B, p))
+    for m in range(5, upto + 1):
+        psi.append(g(psi, psi_entry(m, -1)))
+    return psi[:upto + 2]
+
+
 def _g(amb: Ambient, v, entry: tuple[bool, int, int]) -> TwistedValue:
     is_g1, off, _ = entry
     return g1(amb, tuple(v[off:off + 4])) if is_g1 else g2(amb, tuple(v[off:off + 5]))
@@ -228,12 +262,49 @@ def eval_division_poly(
     ctr: MultCounter,
 ) -> TwistedValue:
     """psi_ell(A, B, x) via the doubling schedule; O(log ell) multiplications.
-    Each step computes all 10 entries, as the 80-per-bit budget bills them."""
+
+    The coefficients are plain ints on the batch backend's kernel.  Each step
+    computes all 10 entries, as the 80-per-bit budget bills them, and the
+    bill is what Ambient ticks for the same products: 1 per product, 1 more
+    when both factors carry a y (so are nonzero at an even index), and 1 for
+    the division by psi_2 of a nonzero value.  That is 8 per entry, 7 for
+    psi_2n at even n, less where an input or the output vanishes.
+    """
     k, top, steps = step_plan(ell)
-    amb = Ambient(ctx, E, x, ctr)
-    if amb.w == 0:
+    p = ctx.p
+    x %= p
+    ctr.tick(3)  # x^2, x^3 and A x, as Ambient bills w
+    w = (x * x * x + E.A * x + E.B) % p
+    if w == 0:
         raise TwoTorsionAmbient(f"x={x} is a two-torsion abscissa on this curve")
-    return _walk(psi_sequence(amb, k + top)[k + 1:], steps, partial(_g, amb))
+    w2 = w * w % p
+    bill = 12  # the products of psi_3 and psi_4
+
+    def g(v, entry):
+        nonlocal bill
+        is_g1, off, n = entry
+        if is_g1:
+            c0, c1, c2, c3 = u = v[off:off + 4]
+            c = _coef_g1(u, n, w2, p)
+            # ya (cubed) and yb are the factors that carry a y: squaring a
+            # nonzero ya takes a w, and so does its cube times a nonzero yb
+            ya, yb = (c2, c0) if n & 1 else (c1, c3)
+            bill += 8 if ya and yb else 7 if ya else 6
+        else:
+            u = v[off:off + 5]
+            c = _coef_g2(u, p)
+            # a nonzero output is divided by psi_2, one product; at odd n
+            # squaring a nonzero psi_{n-1} or psi_{n+1} takes a w, at even n
+            # the product by psi_n does when the output is nonzero
+            if n & 1:
+                bill += 5 + (u[1] != 0) + (u[3] != 0) + (c != 0)
+            else:
+                bill += 7 if c else 5
+        return c
+
+    c = _walk(_psi_coeffs(x, E.A, E.B, p, k + top, g)[k + 1:], steps, g)
+    ctr.tick(bill)
+    return _tv(c, expected_parity(ell))
 
 
 def eval_division_poly_direct(
@@ -254,8 +325,8 @@ def eval_division_poly_direct(
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation over many (A, B, x) ambients at once.  Same base
-# formula, step plan and walk as above, with the parity tracked structurally
-# by index; products of two elements of [0, p) with p < 2**31 fit in int64.
+# formula, coefficient kernel, step plan and walk as above; products of two
+# elements of [0, p) with p < 2**31 fit in int64.
 # ---------------------------------------------------------------------------
 
 
@@ -268,26 +339,6 @@ def _vec_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
         base = _rem(base * base, p)
         e >>= 1
     return result
-
-
-def _vec_g1(v: list[np.ndarray], n: int, w2: np.ndarray, p: int) -> np.ndarray:
-    c_nm1, c_n, c_np1, c_np2 = v
-    t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
-    t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
-    if n % 2 == 0:
-        t1 = _rem(t1 * w2, p)
-    else:
-        t2 = _rem(t2 * w2, p)
-    return _rem(t1 - t2, p)
-
-
-def _vec_g2(v: list[np.ndarray], p: int) -> np.ndarray:
-    # the scalar path's c / (2y) carried as c w / (2w), which is c / 2 since
-    # callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
-    c_nm2, c_nm1, c_n, c_np1, c_np2 = v
-    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 - c_nm2 * _rem(c_np1 * c_np1, p), p)
-    c = _rem(inner * c_n, p)
-    return (c + (c & 1) * p) >> 1
 
 
 @lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
@@ -322,18 +373,12 @@ class BatchAmbient:
     def _g(self, v: list[np.ndarray], entry: tuple[bool, int, int]) -> np.ndarray:
         is_g1, off, n = entry
         if is_g1:
-            return _vec_g1(v[off:off + 4], n, self.w2, self.p)
-        return _vec_g2(v[off:off + 5], self.p)
+            return _coef_g1(v[off:off + 4], n, self.w2, self.p)
+        return _coef_g2(v[off:off + 5], self.p)
 
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:
         """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
-        p, x = self.p, self.x
-        one = np.ones_like(x)
-        psi = [(p - 1) * one, np.zeros_like(x), one, 2 * one]
-        psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), x, self.A, self.B, p))
-        for m in range(5, upto + 1):
-            psi.append(self._g(psi, psi_entry(m, -1)))
-        return psi[:upto + 2]
+        return _psi_coeffs(self.x, self.A, self.B, self.p, upto, self._g)
 
     def eval(self, ell: int) -> np.ndarray:
         """Coefficient array of psi_ell across all ambients."""

@@ -38,13 +38,17 @@ class ResourceReport:
 
 
 def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
-    """Fill the resource table row for an n-bit prime."""
-    if bits is None:
-        if p is None:
-            raise ValueError("give bits or p")
+    """Fill the resource table row for an n-bit prime; with both given,
+    bits must be the n of p."""
+    if p is not None:
         if p <= 128:
             raise ValueError(f"p must be > 128 (n >= 8 bits), got {p}")
-        bits = (p - 1).bit_length()  # ceil(log2 p), which float log2 can round down
+        p_bits = (p - 1).bit_length()  # ceil(log2 p), which float log2 can round down
+        if bits is not None and bits != p_bits:
+            raise ValueError(f"bits {bits} does not match p, which has n = {p_bits}")
+        bits = p_bits
+    elif bits is None:
+        raise ValueError("give bits or p")
     if not 8 <= bits <= 1021:
         # 4 * 2^n, inside the iteration bounds, overflows a float above n = 1021
         raise ValueError(f"bits must be in [8, 1021], got {bits}")

@@ -151,6 +151,8 @@ def test_estimate(capsys):
         assert rc == 2 and err.startswith("error:")
     rc, _, _ = run(["estimate", "--p", "129"], capsys)
     assert rc == 0
+    rc, out, _ = run(["estimate", "--bits", "10", "--p", "1009"], capsys)
+    assert rc == 0 and lines(out)[0]["bits"] == "10"
 
 
 def test_audit(capsys):
@@ -196,6 +198,8 @@ def test_usage_errors_exit_2(capsys):
         ["estimate", "--bits", "1022"],
         ["estimate", "--bits", "1024"],
         ["estimate", "--p", str(2**1021 + 1)],
+        ["estimate", "--bits", "1021", "--p", "3"],
+        ["estimate", "--bits", "8", "--p", "1009"],
     ):
         rc, out, err = run(argv, capsys)
         assert (rc, out) == (2, ""), argv

@@ -227,6 +227,71 @@ def test_cost_budget_eval():
         assert ctr.count <= 80 * bits, (ell, ctr.count)
 
 
+def _ticked_walk(ctx, E, x, ell, seen):
+    """psi_ell and its count by the walk on TwistedValues, with Ambient
+    ticking every product; seen collects 'zero in' when an entry reads a
+    vanishing psi at an even index and 'zero out' when one vanishes."""
+    k, top, steps = divpoly.step_plan(ell)
+    amb = Ambient(ctx, E, x, MultCounter())
+
+    def g(win, entry):
+        out = divpoly._g(amb, win, entry)
+        is_g1, off, n = entry
+        first = n - 1 if is_g1 else n - 2
+        if any(v.c == 0 and (first + d) % 2 == 0
+               for d, v in enumerate(win[off:off + (4 if is_g1 else 5)])):
+            seen.add("zero in")
+        if out.c == 0:
+            seen.add("zero out")
+        return out
+
+    value = divpoly._walk(divpoly.psi_sequence(amb, k + top)[k + 1:], steps, g)
+    return value, amb.ctr.count
+
+
+def _billing_cases(p, rng):
+    """A generic curve, one with j = 0 (A = 0) and one with j = 1728
+    (B = 0), each at an abscissa off the two-torsion."""
+    for a_nonzero, b_nonzero in ((True, True), (False, True), (True, False)):
+        A = B = 0
+        while (4 * A**3 + 27 * B * B) % p == 0:
+            A = rng.randrange(1, p) if a_nonzero else 0
+            B = rng.randrange(1, p) if b_nonzero else 0
+        xs = range(p) if p < 200 else (rng.randrange(p) for _ in range(64))
+        yield WeierstrassCurve(A, B), next(x for x in xs if (x**3 + A * x + B) % p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 2**20 + 7, 2**31 - 1])
+def test_eval_bills_as_ticked_walk(p):
+    """The kernel walk's value and bill equal those of the walk on Ambient
+    that ticks each product, at tiny p (where psi_m vanish mid-walk), at
+    large p, and on j = 0 and j = 1728 curves; a two-torsion x raises after
+    billing w's 3 products."""
+    ctx = FpContext(p)
+    rng = random.Random(p)
+    if p < 200:
+        ells = [*range(1, 301), *(rng.randrange(1, 2**40) for _ in range(50))]
+    else:
+        hasse = math.isqrt(4 * p)
+        ells = [*range(1, 41), *(rng.randrange(p + 1 - hasse, p + 2 + hasse) for _ in range(10)),
+                *(rng.randrange(1, 2**40) for _ in range(10))]
+    seen = set()
+    for E, x in _billing_cases(p, rng):
+        for ell in ells:
+            want, want_count = _ticked_walk(ctx, E, x, ell, seen)
+            ctr = MultCounter()
+            got = divpoly.eval_division_poly(ctx, E, x, ell, ctr)
+            assert (got, ctr.count) == (want, want_count), (E, x, ell)
+    if p < 200:
+        assert seen == {"zero in", "zero out"}
+    x, A = rng.randrange(p), rng.randrange(p)
+    E = WeierstrassCurve(A, -(x**3 + A * x) % p)  # w(x) = 0
+    ctr = MultCounter()
+    with pytest.raises(TwoTorsionAmbient):
+        divpoly.eval_division_poly(ctx, E, x, 7, ctr)
+    assert ctr.count == 3
+
+
 def test_batch_matches_scalar():
     ctx = FpContext(101)
     rng = random.Random(7)

@@ -41,6 +41,10 @@ def test_estimate_validation():
             estimate(bits=bits)
     with pytest.raises(ValueError):
         estimate(p=2**1021 + 1)
+    for bits, p in ((1021, 3), (8, 1009)):  # p under the floor; n of 1009 is 10
+        with pytest.raises(ValueError):
+            estimate(bits=bits, p=p)
+    assert estimate(bits=10, p=1009) == estimate(p=1009)
 
 
 def test_estimate_bits_of_p_are_exact():
