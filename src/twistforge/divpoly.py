@@ -1,15 +1,18 @@
 """Division polynomials evaluated in the reduced ring F_p[y]/(y^2 - w).
 
 Values are carried as c * y^eps with the ambient w = x^3 + Ax + B, so the
-evaluation never needs a square root.  psi_l for large l is produced by the
-windowed doubling schedule: a 10-tuple of consecutive psi values is doubled
-per step, each output entry costing one g1 or g2 call (at most 8 counted
-multiplications), hence at most 80 multiplications per doubling.
+evaluation never needs a square root.  psi_l is produced by the windowed
+doubling schedule: a 10-tuple of consecutive psi values is doubled per
+step, each output entry made by the g1 or g2 recurrence (at most 8 counted
+multiplications), hence at most 80 multiplications per doubling.  One
+coefficient kernel serves the billed scalar path on Python ints and the
+vectorised path on int64 arrays; only the reduction mod p differs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mod
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -18,10 +21,6 @@ from .fp_arith import FpContext, MultCounter
 
 if TYPE_CHECKING:
     from .curves import WeierstrassCurve
-
-
-class ParityMismatch(ValueError):
-    """Nonzero TwistedValues of unequal parity were added."""
 
 
 class TwoTorsionAmbient(ArithmeticError):
@@ -36,88 +35,10 @@ class TwistedValue(NamedTuple):
 
 
 TV_ZERO = TwistedValue(0, 0)
-TV_ONE = TwistedValue(1, 0)
 
 
 def _tv(c: int, parity: int) -> TwistedValue:
     return TV_ZERO if c == 0 else TwistedValue(c, parity)
-
-
-class Ambient:
-    """Fixed (A, B, x) evaluation context with its w and billing counter."""
-
-    __slots__ = ("ctx", "A", "B", "x", "w", "ctr", "_inv2w")
-
-    def __init__(self, ctx: FpContext, E: WeierstrassCurve, x: int, ctr: MultCounter):
-        self.ctx = ctx
-        self.A = E.A
-        self.B = E.B
-        self.x = x % ctx.p
-        self.ctr = ctr
-        x2 = ctx.mul(self.x, self.x, ctr)
-        x3 = ctx.mul(x2, self.x, ctr)
-        ax = ctx.mul(self.A, self.x, ctr)
-        self.w = (x3 + ax + self.B) % ctx.p
-        self._inv2w = None
-
-    @property
-    def inv2w(self) -> int:
-        if self._inv2w is None:
-            if self.w == 0:
-                raise TwoTorsionAmbient(f"x={self.x} is a two-torsion abscissa")
-            self._inv2w = self.ctx.inv(2 * self.w)
-        return self._inv2w
-
-    def mul(self, u: TwistedValue, v: TwistedValue) -> TwistedValue:
-        c = self.ctx.mul(u.c, v.c, self.ctr)
-        if u.parity and v.parity:
-            return _tv(self.ctx.mul(c, self.w, self.ctr), 0)
-        return _tv(c, u.parity | v.parity)
-
-    def sq(self, u: TwistedValue) -> TwistedValue:
-        return self.mul(u, u)
-
-    def cube(self, u: TwistedValue) -> TwistedValue:
-        return self.mul(self.sq(u), u)
-
-    def add(self, u: TwistedValue, v: TwistedValue) -> TwistedValue:
-        if u.c == 0:
-            return v
-        if v.c == 0:
-            return u
-        if u.parity != v.parity:
-            raise ParityMismatch(f"cannot add parities {u.parity} and {v.parity}")
-        return _tv((u.c + v.c) % self.ctx.p, u.parity)
-
-    def sub(self, u: TwistedValue, v: TwistedValue) -> TwistedValue:
-        return self.add(u, self.neg(v))
-
-    def neg(self, u: TwistedValue) -> TwistedValue:
-        return _tv((-u.c) % self.ctx.p, u.parity)
-
-    def div_psi2(self, u: TwistedValue) -> TwistedValue:
-        """u / (2y): with u = (c, 0), c/(2y) = c*y/(2w), flipping parity."""
-        if u.c == 0:
-            return TV_ZERO
-        return _tv(self.ctx.mul(u.c, self.inv2w, self.ctr), u.parity ^ 1)
-
-
-def g1(amb: Ambient, v: tuple[TwistedValue, ...]) -> TwistedValue:
-    """psi_{2n+1} = psi_{n+2} psi_n^3 - psi_{n-1} psi_{n+1}^3 from 4 inputs."""
-    if len(v) != 4:
-        raise ValueError("g1 takes psi_{n-1}..psi_{n+2}")
-    t1 = amb.mul(v[3], amb.cube(v[1]))
-    t2 = amb.mul(v[0], amb.cube(v[2]))
-    return amb.sub(t1, t2)
-
-
-def g2(amb: Ambient, v: tuple[TwistedValue, ...]) -> TwistedValue:
-    """psi_{2n} = psi_n (psi_{n-1}^2 psi_{n+2} - psi_{n-2} psi_{n+1}^2) / psi_2."""
-    if len(v) != 5:
-        raise ValueError("g2 takes psi_{n-2}..psi_{n+2}")
-    t1 = amb.mul(amb.sq(v[1]), v[4])
-    t2 = amb.mul(v[0], amb.sq(v[3]))
-    return amb.div_psi2(amb.mul(amb.sub(t1, t2), v[2]))
 
 
 def expected_parity(n: int) -> int:
@@ -166,26 +87,29 @@ def _psi3_psi4(mul, x, A, B, p):
     yield _rem(2 * inner, p)
 
 
-def _coef_g1(v, n: int, w2, p: int):
+def _coef_g1(v, n: int, w2, p: int, rem=_rem):
     """Coefficient of psi_{2n+1} from those of psi_{n-1}..psi_{n+2}, as
-    ints or int64 arrays; w2 = w^2 is the y^4 of the two even-index factors."""
+    ints or int64 arrays; w2 = w^2 is the y^4 of the two even-index factors.
+    rem(c, p) reduces into [0, p): `_rem` on arrays, `operator.mod` on ints,
+    where a C-level % beats a Python call."""
     c_nm1, c_n, c_np1, c_np2 = v
-    t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
-    t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
+    t1 = rem(rem(c_np2 * rem(c_n * c_n, p), p) * c_n, p)
+    t2 = rem(rem(c_nm1 * rem(c_np1 * c_np1, p), p) * c_np1, p)
     if n % 2 == 0:
-        t1 = _rem(t1 * w2, p)
+        t1 = rem(t1 * w2, p)
     else:
-        t2 = _rem(t2 * w2, p)
-    return _rem(t1 - t2, p)
+        t2 = rem(t2 * w2, p)
+    return rem(t1 - t2, p)
 
 
-def _coef_g2(v, p: int):
-    """Coefficient of psi_{2n} from those of psi_{n-2}..psi_{n+2}."""
-    # Ambient's c / (2y) carried as c w / (2w), which is c / 2 since callers
-    # exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
+def _coef_g2(v, p: int, rem=_rem):
+    """Coefficient of psi_{2n} from those of psi_{n-2}..psi_{n+2}; rem as
+    for `_coef_g1`."""
+    # the division by psi_2 = 2y, c / (2y) = c y / (2w), carried as c / 2
+    # since callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
     c_nm2, c_nm1, c_n, c_np1, c_np2 = v
-    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 - c_nm2 * _rem(c_np1 * c_np1, p), p)
-    c = _rem(inner * c_n, p)
+    inner = rem(rem(c_nm1 * c_nm1, p) * c_np2 - c_nm2 * rem(c_np1 * c_np1, p), p)
+    c = rem(inner * c_n, p)
     return (c + (c & 1) * p) >> 1
 
 
@@ -197,28 +121,6 @@ def _psi_coeffs(x, A, B, p: int, upto: int, g) -> list:
     psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), x, A, B, p))
     for m in range(5, upto + 1):
         psi.append(g(psi, psi_entry(m, -1)))
-    return psi[:upto + 2]
-
-
-def _g(amb: Ambient, v, entry: tuple[bool, int, int]) -> TwistedValue:
-    is_g1, off, _ = entry
-    return g1(amb, tuple(v[off:off + 4])) if is_g1 else g2(amb, tuple(v[off:off + 5]))
-
-
-def psi_sequence(amb: Ambient, upto: int) -> list[TwistedValue]:
-    """psi_{-1} .. psi_upto by the direct recurrence; entry [i] is psi_{i-1}.
-
-    This is the naive O(l) evaluation used both to seed base windows and as
-    the reference the doubling schedule is checked against.
-    """
-    ctx, ctr = amb.ctx, amb.ctr
-    psi = [TwistedValue(ctx.p - 1, 0), TV_ZERO, TV_ONE, TwistedValue(2, 1)]
-    base = _psi3_psi4(lambda a, b: ctx.mul(a, b, ctr), amb.x, amb.A, amb.B, ctx.p)
-    # zip stops on the range first, so upto = 3 never bills psi_4's products
-    for m, c in zip(range(3, upto + 1), base):
-        psi.append(_tv(c, expected_parity(m)))
-    for m in range(5, upto + 1):
-        psi.append(_g(amb, psi, psi_entry(m, -1)))
     return psi[:upto + 2]
 
 
@@ -263,17 +165,19 @@ def eval_division_poly(
 ) -> TwistedValue:
     """psi_ell(A, B, x) via the doubling schedule; O(log ell) multiplications.
 
-    The coefficients are plain ints on the batch backend's kernel.  Each step
-    computes all 10 entries, as the 80-per-bit budget bills them, and the
-    bill is what Ambient ticks for the same products: 1 per product, 1 more
-    when both factors carry a y (so are nonzero at an even index), and 1 for
-    the division by psi_2 of a nonzero value.  That is 8 per entry, 7 for
-    psi_2n at even n, less where an input or the output vanishes.
+    The coefficients are plain ints on the batch backend's kernel, reduced
+    with %.  Each step computes all 10 entries, as the 80-per-bit budget
+    bills them, and the bill is what ticking every product of the
+    F_p[y]/(y^2 - w) arithmetic counts (tests/psiref.py walks it so): 1 per
+    product, 1 more when both factors carry a y (so are nonzero at an even
+    index), and 1 for the division by psi_2 of a nonzero value.  That is 8
+    per entry, 7 for psi_2n at even n, less where an input or the output
+    vanishes.
     """
     k, top, steps = step_plan(ell)
     p = ctx.p
     x %= p
-    ctr.tick(3)  # x^2, x^3 and A x, as Ambient bills w
+    ctr.tick(3)  # x^2, x^3 and A x, the products of w
     w = (x * x * x + E.A * x + E.B) % p
     if w == 0:
         raise TwoTorsionAmbient(f"x={x} is a two-torsion abscissa on this curve")
@@ -285,14 +189,14 @@ def eval_division_poly(
         is_g1, off, n = entry
         if is_g1:
             c0, c1, c2, c3 = u = v[off:off + 4]
-            c = _coef_g1(u, n, w2, p)
+            c = _coef_g1(u, n, w2, p, mod)
             # ya (cubed) and yb are the factors that carry a y: squaring a
             # nonzero ya takes a w, and so does its cube times a nonzero yb
             ya, yb = (c2, c0) if n & 1 else (c1, c3)
             bill += 8 if ya and yb else 7 if ya else 6
         else:
             u = v[off:off + 5]
-            c = _coef_g2(u, p)
+            c = _coef_g2(u, p, mod)
             # a nonzero output is divided by psi_2, one product; at odd n
             # squaring a nonzero psi_{n-1} or psi_{n+1} takes a w, at even n
             # the product by psi_n does when the output is nonzero
@@ -305,22 +209,6 @@ def eval_division_poly(
     c = _walk(_psi_coeffs(x, E.A, E.B, p, k + top, g)[k + 1:], steps, g)
     ctr.tick(bill)
     return _tv(c, expected_parity(ell))
-
-
-def eval_division_poly_direct(
-    ctx: FpContext,
-    E: WeierstrassCurve,
-    x: int,
-    ell: int,
-    ctr: MultCounter,
-) -> TwistedValue:
-    """psi_ell by the naive O(ell) recurrence; reference for the schedule."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    amb = Ambient(ctx, E, x, ctr)
-    if amb.w == 0:
-        raise TwoTorsionAmbient(f"x={x} is a two-torsion abscissa on this curve")
-    return psi_sequence(amb, ell)[ell + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -84,18 +84,14 @@ class FpContext:
         return pow(a, self.p - 2, self.p)
 
     def pow(self, a: FieldElement, e: int, ctr: MultCounter) -> FieldElement:
-        """Square-and-multiply; at most 2*ceil(log2 e) counted multiplications."""
+        """a**e billed as left-to-right square-and-multiply: one squaring per
+        bit of e after the leading one, one product per further set bit."""
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
             return 1  # 0**0 == 1 by convention
-        a %= self.p
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul(result, result, ctr)
-            if bit == "1":
-                result = self.mul(result, a, ctr)
-        return result
+        ctr.tick(e.bit_length() + e.bit_count() - 2)
+        return pow(a, e, self.p)
 
     def euler_criterion(self, w: FieldElement, ctr: MultCounter) -> Residue:
         """w**((p-1)/2): distinguishes residues, nonresidues, and zero."""

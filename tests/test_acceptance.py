@@ -14,12 +14,14 @@ import numpy as np
 
 from twistforge import classnum, curves, divpoly, estimator, forgery, grover, scheme
 from twistforge.curves import CurveClass, NonResidueTable, WeierstrassCurve
-from twistforge.divpoly import Ambient, BatchAmbient
+from twistforge.divpoly import BatchAmbient
 from twistforge.forgery import OracleConfig, SerialNumber
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
+import psiref
 from conftest import get_lab, record_criterion
+from psiref import Ambient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -128,7 +130,7 @@ def test_criterion_03_window_vs_direct():
         if amb.w == 0:
             continue
         ambients += 1
-        reference = divpoly.psi_sequence(amb, 5001)
+        reference = psiref.psi_sequence(amb, 5001)
         for ell in ells:
             got = divpoly.eval_division_poly(ctx, E, x, ell, MultCounter())
             if got != reference[ell + 1]:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -7,13 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import (
-    Ambient, ParityMismatch, TV_ONE, TV_ZERO,
-    TwistedValue, TwoTorsionAmbient,
-)
+from twistforge.divpoly import TV_ZERO, TwistedValue, TwoTorsionAmbient, _coef_g1, _coef_g2, _rem
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
+import psiref
+from psiref import TV_ONE, Ambient, ParityMismatch
 
 
 def make_ambient(p=101, A=2, B=3, x=5):
@@ -75,14 +76,14 @@ def test_two_torsion_ambient():
     with pytest.raises(TwoTorsionAmbient):
         divpoly.eval_division_poly(ctx, E, 1, 7, MultCounter())
     with pytest.raises(TwoTorsionAmbient):
-        divpoly.eval_division_poly_direct(ctx, E, 1, 7, MultCounter())
+        psiref.eval_division_poly_direct(ctx, E, 1, 7, MultCounter())
 
 
 def test_base_cases_worked_example():
     # psi_3 = 3x^4 + 6Ax^2 + 12Bx - A^2 at p=5, A=1, B=1, x=0 is -1 = 4
     ctx = FpContext(5)
     amb = Ambient(ctx, WeierstrassCurve(1, 1), 0, MultCounter())
-    psi = divpoly.psi_sequence(amb, 4)
+    psi = psiref.psi_sequence(amb, 4)
     assert psi[0] == TwistedValue(4, 0)   # psi_{-1} = -1
     assert psi[1] == TV_ZERO              # psi_0
     assert psi[2] == TV_ONE               # psi_1
@@ -92,21 +93,21 @@ def test_base_cases_worked_example():
 
 def test_parity_structure():
     ctx, amb = make_ambient()
-    for n, v in enumerate(divpoly.psi_sequence(amb, 30), start=-1):
+    for n, v in enumerate(psiref.psi_sequence(amb, 30), start=-1):
         if v.c:
             assert v.parity == divpoly.expected_parity(n)
 
 
 def test_g1_g2_against_direct():
     ctx, amb = make_ambient()
-    psi = divpoly.psi_sequence(amb, 10)
+    psi = psiref.psi_sequence(amb, 10)
     # g1 at n=2 gives psi_5, g2 at n=3 gives psi_6 (index shift: psi[i] = psi_{i-1})
-    assert divpoly.g1(amb, tuple(psi[2:6])) == psi[6]
-    assert divpoly.g2(amb, tuple(psi[2:7])) == psi[7]
+    assert psiref.g1(amb, tuple(psi[2:6])) == psi[6]
+    assert psiref.g2(amb, tuple(psi[2:7])) == psi[7]
     with pytest.raises(ValueError):
-        divpoly.g1(amb, tuple(psi[2:7]))
+        psiref.g1(amb, tuple(psi[2:7]))
     with pytest.raises(ValueError):
-        divpoly.g2(amb, tuple(psi[2:6]))
+        psiref.g2(amb, tuple(psi[2:6]))
 
 
 def _output(entry):
@@ -172,12 +173,12 @@ def test_pruned_plan_keeps_what_it_reads():
 def test_step_plan_matches_direct():
     """Every full step writes psi_base .. psi_{base+9} as psi_sequence does."""
     ctx, amb = make_ambient()
-    ref = divpoly.psi_sequence(amb, 1010)
+    ref = psiref.psi_sequence(amb, 1010)
     for ell in (10, 11, 21, 202, 999):
         k, top, steps = divpoly.step_plan(ell)
         win = ref[k + 1:k + top + 2]
         for step in steps:
-            win = [divpoly._g(amb, win, entry) for _, entry in step]
+            win = [psiref._g(amb, win, entry) for _, entry in step]
             base = _output(step[0][1])
             assert win == ref[base + 1:base + 11], (ell, base)
         assert win[0] == ref[ell + 1]
@@ -189,7 +190,7 @@ def test_eval_matches_direct_small():
         E = WeierstrassCurve(A, B)
         for ell in range(1, 60):
             got = divpoly.eval_division_poly(ctx, E, x, ell, MultCounter())
-            want = divpoly.eval_division_poly_direct(ctx, E, x, ell, MultCounter())
+            want = psiref.eval_division_poly_direct(ctx, E, x, ell, MultCounter())
             assert got == want, (A, B, x, ell)
 
 
@@ -235,7 +236,7 @@ def _ticked_walk(ctx, E, x, ell, seen):
     amb = Ambient(ctx, E, x, MultCounter())
 
     def g(win, entry):
-        out = divpoly._g(amb, win, entry)
+        out = psiref._g(amb, win, entry)
         is_g1, off, n = entry
         first = n - 1 if is_g1 else n - 2
         if any(v.c == 0 and (first + d) % 2 == 0
@@ -245,7 +246,7 @@ def _ticked_walk(ctx, E, x, ell, seen):
             seen.add("zero out")
         return out
 
-    value = divpoly._walk(divpoly.psi_sequence(amb, k + top)[k + 1:], steps, g)
+    value = divpoly._walk(psiref.psi_sequence(amb, k + top)[k + 1:], steps, g)
     return value, amb.ctr.count
 
 
@@ -290,6 +291,35 @@ def test_eval_bills_as_ticked_walk(p):
     with pytest.raises(TwoTorsionAmbient):
         divpoly.eval_division_poly(ctx, E, x, 7, ctr)
     assert ctr.count == 3
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**20 + 7, 2**31 - 1])
+def test_kernel_int_mod_matches_int64_rem(p):
+    """The coefficient kernel gives the same answer on Python ints reduced
+    with operator.mod as on int64 arrays reduced with _rem, lane by lane,
+    and it is the g1 / g2 recurrence computed in exact integers mod p."""
+    rng = random.Random(p)
+    half = (p + 1) // 2  # 1/2 mod p
+    # every 5-tuple of 0, 1 and p - 1 (products near p^2, negative
+    # differences), then random residues; one row per lane
+    rows = [list(r) for r in itertools.product((0, 1, p - 1), repeat=5)]
+    rows += [[rng.randrange(p) for _ in range(5)] for _ in range(300)]
+    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+    # g1 reads psi_{n-1}..psi_{n+2} and w^2; the parity of n picks the side
+    # that takes w^2
+    for n in (2, 3):
+        lanes = _coef_g1(cols[:4], n, cols[4], p, _rem)
+        for i, (c0, c1, c2, c3, w2) in enumerate(rows):
+            t1, t2 = c3 * c1**3, c0 * c2**3
+            want = (t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p
+            got = _coef_g1((c0, c1, c2, c3), n, w2, p, operator.mod)
+            assert got == int(lanes[i]) == want, (p, n, rows[i])
+    # g2 reads psi_{n-2}..psi_{n+2} and halves the result
+    lanes = _coef_g2(cols, p, _rem)
+    for i, (c0, c1, c2, c3, c4) in enumerate(rows):
+        want = (c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p
+        got = _coef_g2((c0, c1, c2, c3, c4), p, operator.mod)
+        assert got == int(lanes[i]) == want, (p, rows[i])
 
 
 def test_batch_matches_scalar():
@@ -350,5 +380,5 @@ def test_batch_psi_coeffs_match_scalar():
     coeffs = ba.psi_coeffs(30)
     for i, (A, B, x) in enumerate(rows):
         amb = Ambient(ctx, WeierstrassCurve(A, B), x, MultCounter())
-        for n, v in enumerate(divpoly.psi_sequence(amb, 30), start=-1):
+        for n, v in enumerate(psiref.psi_sequence(amb, 30), start=-1):
             assert int(coeffs[n + 1][i]) == v.c, (A, B, x, n)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from twistforge.fp_arith import (
@@ -42,6 +44,39 @@ def test_pow_counts_and_values():
             assert ctr.count <= 2 * e.bit_length()
     with pytest.raises(ValueError):
         ctx.pow(2, -1, MultCounter())
+
+
+def _square_and_multiply(ctx, a, e, ctr):
+    """a**e by left-to-right square-and-multiply, each product ticked: the
+    reference FpContext.pow is billed as."""
+    if e == 0:
+        return 1
+    a %= ctx.p
+    result = a
+    for bit in bin(e)[3:]:
+        result = ctx.mul(result, result, ctr)
+        if bit == "1":
+            result = ctx.mul(result, a, ctr)
+    return result
+
+
+def _billed(f, ctx, a, e):
+    ctr = MultCounter()
+    return f(ctx, a, e, ctr), ctr.count
+
+
+def test_pow_bills_as_square_and_multiply():
+    """FpContext.pow's value and bill equal the ticked loop's: for every e
+    up to 2000 at p = 101, for random (a, e) at p = 2^31 - 1, and at a = 0."""
+    big = 2**31 - 1
+    rng = random.Random(big)
+    cases = [(101, a, e) for e in range(2001) for a in (0, 1, 3, 100, -1, 205)]
+    cases += [(big, rng.randrange(big), rng.randrange(2**31)) for _ in range(200)]
+    cases += [(big, 0, e) for e in (0, 1, (big - 1) // 2, 2**31 - 1)]
+    ctxs = {p: FpContext(p) for p in (101, big)}
+    for p, a, e in cases:
+        want = _billed(_square_and_multiply, ctxs[p], a, e)
+        assert _billed(FpContext.pow, ctxs[p], a, e) == want, (p, a, e)
 
 
 def test_fermat_exhaustive_small_primes():
