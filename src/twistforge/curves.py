@@ -64,14 +64,6 @@ def _squares_table(p: int) -> np.ndarray:
     return tbl
 
 
-@lru_cache(maxsize=32)
-def _cubes_table(p: int) -> np.ndarray:
-    x = np.arange(p, dtype=np.int64)
-    tbl = np.zeros(p, dtype=bool)
-    tbl[x * x % p * x % p] = True
-    return tbl
-
-
 class NonResidueTable:
     """The twist parameters alpha_2 (quadratic) and alpha_6 for a prime.
 
@@ -90,15 +82,21 @@ class NonResidueTable:
 
     @classmethod
     def for_prime(cls, ctx: FpContext) -> "NonResidueTable":
-        p = ctx.p
-        sq = _squares_table(p)
-        alpha2 = next(a for a in range(2, p) if not sq[a])
-        if p % 3 == 1:
-            cubes = _cubes_table(p)
-            alpha6 = next(a for a in range(2, p) if not sq[a] and not cubes[a])
-        else:
-            alpha6 = alpha2
-        return cls(alpha2, alpha6)
+        return cls(*_twist_parameters(ctx.p))
+
+
+@lru_cache(maxsize=32)
+def _twist_parameters(p: int) -> tuple[int, int]:
+    """(alpha_2, alpha_6) by the Euler criterion: a is a nonsquare iff
+    a^((p-1)/2) = -1, and, when p = 1 mod 3, a noncube iff a^((p-1)/3) != 1."""
+    def nonsquare(a: int) -> bool:
+        return pow(a, (p - 1) // 2, p) == p - 1
+
+    alpha2 = next(a for a in range(2, p) if nonsquare(a))
+    if p % 3 != 1:
+        return alpha2, alpha2
+    return alpha2, next(a for a in range(alpha2, p)
+                        if nonsquare(a) and pow(a, (p - 1) // 3, p) != 1)
 
 
 def b_range(ctx: FpContext, j: int) -> int:
@@ -113,12 +111,23 @@ def b_range(ctx: FpContext, j: int) -> int:
 
 def class_count(ctx: FpContext) -> int:
     """Total number of (j, b) classes over F_p."""
-    n = 2 * ctx.p
-    if ctx.p % 4 == 1:
-        n += 2
-    if ctx.p % 3 == 1:
-        n += 4
-    return n
+    return 2 * ctx.p - 4 + b_range(ctx, 0) + b_range(ctx, 1728)
+
+
+def class_at(ctx: FpContext, i: int) -> CurveClass:
+    """Entry i of class_arrays in O(1): j ascends with two b per j, except
+    at j = 0 and j = 1728, which take b_range(ctx, j) entries each."""
+    if not 0 <= i < class_count(ctx):
+        raise IndexError(f"class index {i} out of range mod {ctx.p}")
+    w0, j1 = b_range(ctx, 0), 1728 % ctx.p
+    start1 = w0 + 2 * (j1 - 1)  # the index of (1728 mod p, 0)
+    w1 = b_range(ctx, j1)
+    if i < w0:
+        return CurveClass(0, i)
+    if start1 <= i < start1 + w1:
+        return CurveClass(j1, i - start1)
+    k = i - w0 + 2 if i < start1 else i - start1 - w1 + 2 * j1 + 2
+    return CurveClass(k // 2, k % 2)
 
 
 def class_arrays(ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from .forgery import OracleConfig, SerialNumber
 
 ORACLE_MULTS_CONST = 1944  # per-oracle-call ceiling, F_p multiplications
 QUBITS_CONST = 12
-EVAL_MULTS_PER_BIT = 80  # division-poly budget per bit of ell
 TOTAL_LOWER_CONST = 5097
 TOTAL_UPPER_CONST = 8264
 
@@ -118,13 +117,12 @@ def audit(
     (which scans all tau offsets) is the honest worst case; one is included
     when known or discoverable at desk scale.
     """
-    n = math.ceil(math.log2(ctx.p))
+    n = (ctx.p - 1).bit_length()  # ceil(log2 p)
     ceiling = ORACLE_MULTS_CONST * n * n
     nr = NonResidueTable.for_prime(ctx)
-    j, b = curves.class_arrays(ctx)
+    count = curves.class_count(ctx)
     rng = random.Random(seed)
-    picks = [curves.CurveClass(int(j[i]), int(b[i]))
-             for i in (rng.randrange(j.size) for _ in range(sample_size))]
+    picks = [curves.class_at(ctx, rng.randrange(count)) for _ in range(sample_size)]
     rows = []
     if target_class is not None:
         picks.insert(0, target_class)

@@ -50,7 +50,7 @@ class SerialNumber:
 
 
 def default_tau(p: int) -> int:
-    return 3 * math.ceil(math.log2(p))
+    return 3 * (p - 1).bit_length()  # 3 ceil(log2 p)
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,7 @@ def fiber(ctx: FpContext, A: np.ndarray, B: np.ndarray, s: SerialNumber) -> np.n
     class drops its false positives.
     """
     marked = np.flatnonzero(batch_marked(ctx, A, B, s, OracleConfig.for_prime(ctx.p)))
-    cards = [curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i]))) for i in marked]
-    return marked[np.array(cards, dtype=np.int64) == s.sigma]
+    return marked[curves.count_points_batch(ctx, A[marked], B[marked]) == s.sigma]
 
 
 def g_zero_fraction(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber) -> float:

@@ -112,13 +112,13 @@ def run_search(
     order, e.g. from forgery.batch_marked.
     """
     marked = np.asarray(marked, dtype=bool)
-    j, b = curves.class_arrays(ctx)
-    if marked.size != j.size:
+    n = curves.class_count(ctx)
+    if marked.size != n:
         raise ValueError("marked mask size mismatch")
     if not marked.any():
         raise NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     idx = np.flatnonzero(marked)
-    v = init_uniform(j.size)
+    v = init_uniform(n)
     for _ in range(plan.iterations):
         v = apply_oracle(v, idx)
         v = diffuse(v)
@@ -133,6 +133,6 @@ def run_search(
         marked_indices=idx,
         conditional_distribution=conditional,
         sample_index=sample,
-        sample_class=curves.CurveClass(int(j[sample]), int(b[sample])),
+        sample_class=curves.class_at(ctx, sample),
         iterations=plan.iterations,
     )

@@ -12,7 +12,7 @@ from twistforge.curves import (
     CurveClass, InvalidClass, NonResidueTable, NotANonResidue, SingularCurve,
     WeierstrassCurve,
 )
-from twistforge.fp_arith import FpContext
+from twistforge.fp_arith import FpContext, is_prime
 
 import grouplaw
 from conftest import get_lab
@@ -33,6 +33,37 @@ def test_nonresidue_table_properties():
         if p % 3 == 1:
             assert nr.alpha6 not in squares and nr.alpha6 not in cubes
             assert nr.alpha6 not in sixths
+
+
+def test_twist_parameters_are_the_smallest_nonsquare_and_noncube():
+    """alpha_2 is the smallest nonsquare, and alpha_6 the smallest nonsquare
+    noncube when p = 1 mod 3, at every prime below 20000; the square and
+    cube sets are brute-forced as boolean tables."""
+    for p in range(5, 20000):
+        if not is_prime(p):
+            continue
+        x = np.arange(p, dtype=np.int64)
+        square = np.zeros(p, dtype=bool)
+        square[x * x % p] = True
+        cube = np.zeros(p, dtype=bool)
+        cube[x * x % p * x % p] = True
+        nr = NonResidueTable.for_prime(FpContext(p))
+        assert nr.alpha2 == np.flatnonzero(~square)[0], p
+        alpha6 = np.flatnonzero(~square & ~cube)[0] if p % 3 == 1 else nr.alpha2
+        assert nr.alpha6 == alpha6, p
+
+
+def test_class_at_is_class_arrays_entry():
+    for p in range(5, 3000):
+        if not is_prime(p):
+            continue
+        ctx = FpContext(p)
+        j, b = curves.class_arrays(ctx)
+        assert curves.class_count(ctx) == j.size
+        at = [curves.class_at(ctx, i) for i in range(j.size)]
+        assert [(c.j, c.b) for c in at] == list(zip(j.tolist(), b.tolist())), p
+        with pytest.raises(IndexError):
+            curves.class_at(ctx, j.size)
 
 
 def test_class_counts():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -146,3 +147,39 @@ def test_banknote_json_roundtrip(lab101):
     assert all(isinstance(e["j"], str) and isinstance(e["b"], str)
                for e in obj["support"])
     assert scheme.banknote_from_json(text) == note
+
+
+def _two_squares(p: int, k: int) -> tuple[int, int]:
+    """(a, b) with p = a^2 + k b^2, by a loop over b."""
+    for b in range(1, math.isqrt(p // k) + 1):
+        a = math.isqrt(p - k * b * b)
+        if a * a + k * b * b == p:
+            return a, b
+    raise ValueError(f"{p} is not a^2 + {k} b^2")
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629, 2147483587])
+def test_cm_traces_pass_check_serial_at_int64_edge(p):
+    """The j = 0 classes (p = a^2 + 3b^2) have the six traces
+    {+-2a, +-(a+3b), +-(a-3b)}, and at p = 1 mod 4 the j = 1728 classes
+    (p = a^2 + b^2) have {+-2a, +-2b} (Ireland & Rosen, ch. 18): each class
+    passes check_serial for exactly one sigma = p + 1 - t, and the passes
+    are a permutation of the candidates."""
+    ctx = FpContext(p)
+    cfg = OracleConfig.for_prime(p)
+    a, b = _two_squares(p, 3)
+    families = [(0, (2 * a, a + 3 * b, a - 3 * b))]
+    if p % 4 == 1:
+        a, b = _two_squares(p, 1)
+        families.append((1728, (2 * a, 2 * b)))
+    for j, traces in families:
+        sigmas = sorted(p + 1 - s * t for t in traces for s in (1, -1))
+        assert len(set(sigmas)) == curves.b_range(ctx, j) == len(sigmas)
+        passes = []
+        for k in range(len(sigmas)):
+            c = curves.CurveClass(j, k)
+            hits = [sigma for sigma in sigmas
+                    if scheme.check_serial(ctx, c, SerialNumber(sigma, p), cfg)]
+            assert len(hits) == 1, (p, c, hits)
+            passes += hits
+        assert sorted(passes) == sigmas, (p, j)
