@@ -293,33 +293,38 @@ def test_eval_bills_as_ticked_walk(p):
     assert ctr.count == 3
 
 
-@pytest.mark.parametrize("p", [5, 101, 2**20 + 7, 2**31 - 1])
+@pytest.mark.parametrize("p", [5, 101, 65521, 2**20 + 7, 2**31 - 1])
 def test_kernel_int_mod_matches_int64_rem(p):
     """The coefficient kernel gives the same answer on Python ints reduced
-    with operator.mod as on int64 arrays reduced with _rem, lane by lane,
-    and it is the g1 / g2 recurrence computed in exact integers mod p."""
+    with operator.mod as on int64 arrays, and below 2^16 on uint32 arrays,
+    reduced with _rem, lane by lane, and it is the g1 / g2 recurrence
+    computed in exact integers mod p.  On uint32 lanes a difference that
+    went negative would wrap mod 2^32, not mod p."""
     rng = random.Random(p)
     half = (p + 1) // 2  # 1/2 mod p
     # every 5-tuple of 0, 1 and p - 1 (products near p^2, negative
     # differences), then random residues; one row per lane
     rows = [list(r) for r in itertools.product((0, 1, p - 1), repeat=5)]
     rows += [[rng.randrange(p) for _ in range(5)] for _ in range(300)]
-    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
-    # g1 reads psi_{n-1}..psi_{n+2} and w^2; the parity of n picks the side
-    # that takes w^2
-    for n in (2, 3):
-        lanes = _coef_g1(cols[:4], n, cols[4], p, _rem)
-        for i, (c0, c1, c2, c3, w2) in enumerate(rows):
-            t1, t2 = c3 * c1**3, c0 * c2**3
-            want = (t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p
-            got = _coef_g1((c0, c1, c2, c3), n, w2, p, operator.mod)
-            assert got == int(lanes[i]) == want, (p, n, rows[i])
-    # g2 reads psi_{n-2}..psi_{n+2} and halves the result
-    lanes = _coef_g2(cols, p, _rem)
-    for i, (c0, c1, c2, c3, c4) in enumerate(rows):
-        want = (c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p
-        got = _coef_g2((c0, c1, c2, c3, c4), p, operator.mod)
-        assert got == int(lanes[i]) == want, (p, rows[i])
+    for dtype in [np.int64] + [np.uint32] * (p < 2**16):
+        cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
+        # g1 reads psi_{n-1}..psi_{n+2} and w^2; the parity of n picks the
+        # side that takes w^2
+        for n in (2, 3):
+            lanes = _coef_g1(cols[:4], n, cols[4], p, _rem)
+            assert lanes.dtype == dtype
+            for i, (c0, c1, c2, c3, w2) in enumerate(rows):
+                t1, t2 = c3 * c1**3, c0 * c2**3
+                want = (t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p
+                got = _coef_g1((c0, c1, c2, c3), n, w2, p, operator.mod)
+                assert got == int(lanes[i]) == want, (p, dtype, n, rows[i])
+        # g2 reads psi_{n-2}..psi_{n+2} and halves the result
+        lanes = _coef_g2(cols, p, _rem)
+        assert lanes.dtype == dtype
+        for i, (c0, c1, c2, c3, c4) in enumerate(rows):
+            want = (c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p
+            got = _coef_g2((c0, c1, c2, c3, c4), p, operator.mod)
+            assert got == int(lanes[i]) == want, (p, dtype, rows[i])
 
 
 def test_batch_matches_scalar():
@@ -351,15 +356,14 @@ def test_batch_matches_scalar():
             assert int(got[i]) == want.c, (A, B, x, ell)
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_batch_matches_scalar_near_int64_limit(p, data):
-    """Products of two residues below 2^31 fit in int64: the batch backend
-    agrees with the Python-int scalar one at the largest legal primes."""
+def _batch_matches_scalar_at(p, data):
+    """Draws up to 8 ambients and one ell (at most 64 or in the Hasse band)
+    and checks BatchAmbient.eval against the scalar eval on each; returns
+    the BatchAmbient and the array eval returned.  Half the residues are
+    drawn near p, where the products of the kernel are largest."""
     ctx = FpContext(p)
-    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * 3),
-                              min_size=1, max_size=8))
+    residue = st.integers(0, p - 1) | st.integers(p - 64, p - 1)
+    rows = data.draw(st.lists(st.tuples(residue, residue, residue), min_size=1, max_size=8))
     for A, B, x in rows:
         assume((4 * A**3 + 27 * B * B) % p != 0)
         assume((x**3 + A * x + B) % p != 0)
@@ -370,6 +374,30 @@ def test_batch_matches_scalar_near_int64_limit(p, data):
     for i, (A, B, x) in enumerate(rows):
         want = divpoly.eval_division_poly(ctx, WeierstrassCurve(A, B), x, ell, MultCounter())
         assert int(got[i]) == want.c, (A, B, x, ell)
+    return ba, got
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_matches_scalar_near_int64_limit(p, data):
+    """Products of two residues below 2^31 fit in int64: the batch backend
+    agrees with the Python-int scalar one at the largest legal primes."""
+    _batch_matches_scalar_at(p, data)
+
+
+@pytest.mark.parametrize("p, dtype", [(65519, np.uint32), (65521, np.uint32),
+                                      (65537, np.int64)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_matches_scalar_at_uint32_limit(p, dtype, data):
+    """(p - 1)^2 + p, the largest intermediate of the kernel, fits in 32 bits
+    below 2^16: the lanes are uint32 at the two largest primes under 2^16,
+    int64 at the first above, and agree with the scalar backend on both
+    sides."""
+    ba, got = _batch_matches_scalar_at(p, data)
+    assert divpoly.lane_dtype(p) is dtype
+    assert all(a.dtype == dtype for a in (ba.A, ba.B, ba.x, ba.w, ba.w2, got))
 
 
 def test_batch_psi_coeffs_match_scalar():
