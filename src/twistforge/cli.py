@@ -58,6 +58,8 @@ def _taus(text: str) -> list[int]:
 
 
 def _emit(rows: list[dict], fmt: str) -> None:
+    """One JSON line per row, or a CSV table whose non-string cells (mint's
+    support) hold the same JSON as the JSON line."""
     if fmt == "json":
         for row in rows:
             sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
@@ -67,7 +69,8 @@ def _emit(rows: list[dict], fmt: str) -> None:
         buf = io.StringIO()
         writer = csv_mod.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows({k: v if isinstance(v, str) else json.dumps(v, sort_keys=True)
+                          for k, v in row.items()} for row in rows)
         sys.stdout.write(buf.getvalue())
 
 

@@ -12,11 +12,12 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .divpoly import BatchAmbient, _vec_pow
-from .fp_arith import FpContext, MultCounter, Residue
+from .fp_arith import FpContext, MultCounter
 
 
 class InvalidClass(ValueError):
@@ -51,20 +52,19 @@ def make_curve(ctx: FpContext, A: int, B: int) -> WeierstrassCurve:
     return WeierstrassCurve(A, B)
 
 
-def squares_table(ctx: FpContext) -> np.ndarray:
-    """Boolean table: squares_table(ctx)[v] iff v is a square mod p (0 included)."""
-    return _squares_table(ctx.p)
-
-
 @lru_cache(maxsize=32)
-def _squares_table(p: int) -> np.ndarray:
-    x = np.arange(p, dtype=np.int64)
-    tbl = np.zeros(p, dtype=bool)
-    tbl[x * x % p] = True
+def legendre_table(p: int) -> np.ndarray:
+    """The Legendre symbol (v/p) for every v in [0, p), as int8: 1 on the
+    nonzero squares, -1 on the nonsquares, 0 at v = 0."""
+    x = np.arange(1, p, dtype=np.int64)
+    tbl = np.full(p, -1, dtype=np.int8)
+    tbl[x * x % p] = 1
+    tbl[0] = 0
+    tbl.flags.writeable = False  # one cached table is shared by every caller
     return tbl
 
 
-class NonResidueTable:
+class NonResidueTable(NamedTuple):
     """The twist parameters alpha_2 (quadratic) and alpha_6 for a prime.
 
     alpha_2 is the smallest nonsquare.  When p = 1 mod 4 it also generates
@@ -74,11 +74,8 @@ class NonResidueTable:
     alpha_2 otherwise.
     """
 
-    __slots__ = ("alpha2", "alpha6")
-
-    def __init__(self, alpha2: int, alpha6: int):
-        self.alpha2 = alpha2
-        self.alpha6 = alpha6
+    alpha2: int
+    alpha6: int
 
     @classmethod
     def for_prime(cls, ctx: FpContext) -> "NonResidueTable":
@@ -217,13 +214,13 @@ COUNT_CHUNK_CELLS = 1 << 22
 def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Cardinalities for many curves at once; A, B are int64 arrays.
 
-    #E = 1 + 2 #{x : w(x) a square} - #{x : w(x) = 0}, counted in column
-    chunks of at most COUNT_CHUNK_CELLS cells (one column when p is larger).
+    #E = p + 1 + sum_x chi(w(x)), counted in column chunks of at most
+    COUNT_CHUNK_CELLS cells (one column when p is larger).
     """
     p = ctx.p
     x = np.arange(p, dtype=np.int64)
     x3 = (x * x % p * x % p)[:, None]
-    sq = _squares_table(p)
+    chi = legendre_table(p)
     step = max(1, COUNT_CHUNK_CELLS // p)
     out = np.empty(len(A), dtype=np.int64)
     for lo in range(0, len(A), step):
@@ -231,13 +228,13 @@ def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
         w += x3
         w += B[lo:lo + step]
         w %= p
-        out[lo:lo + step] = 1 + 2 * sq[w].sum(axis=0) - (w == 0).sum(axis=0)
+        out[lo:lo + step] = p + 1 + chi[w].sum(axis=0, dtype=np.int64)
     return out
 
 
 def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> WeierstrassCurve:
     """The twist y^2 = x^3 + alpha^-2 A x + alpha^-3 B."""
-    if ctx.euler_criterion(alpha, MultCounter()) is not Residue.NONRESIDUE:
+    if ctx.euler_criterion(alpha, MultCounter()) != -1:
         raise NotANonResidue(f"{alpha} is not a quadratic nonresidue mod {ctx.p}")
     ai = ctx.inv(alpha)
     ai2 = ai * ai % ctx.p
@@ -272,8 +269,9 @@ def group_structure(ctx: FpContext, E: WeierstrassCurve, n: int | None = None) -
         return 1, n
     x = np.arange(p, dtype=np.int64)
     w = (x * x % p * x + E.A * x + E.B) % p
-    lifts = x[(w != 0) & _squares_table(p)[w]]  # x of the points with y != 0
-    two_torsion = int((w == 0).sum())
+    chi = legendre_table(p)[w]
+    lifts = x[chi == 1]  # x of the points with y != 0
+    two_torsion = int((chi == 0).sum())
     ba = BatchAmbient(ctx, np.full(lifts.size, E.A, dtype=np.int64),
                       np.full(lifts.size, E.B, dtype=np.int64), lifts)
     m = 1

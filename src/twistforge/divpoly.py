@@ -1,10 +1,12 @@
 """Division polynomials evaluated in the reduced ring F_p[y]/(y^2 - w).
 
-Values are carried as c * y^eps with the ambient w = x^3 + Ax + B, so the
-evaluation never needs a square root.  psi_l is produced by the windowed
-doubling schedule: a 10-tuple of consecutive psi values is doubled per
-step, each output entry made by the g1 or g2 recurrence (at most 8 counted
-multiplications), hence at most 80 multiplications per doubling.  One
+Values are c * y^eps with the ambient w = x^3 + Ax + B, so the evaluation
+never needs a square root.  psi_n has eps = 1 iff n is even and nonzero, a
+function of n alone, so only the coefficient c is carried.  psi_l is
+produced by the windowed doubling schedule: a 10-tuple of consecutive psi
+values is doubled per step, each output entry made by the g1 or g2
+recurrence (at most 8 counted multiplications), hence at most 80
+multiplications per doubling.  One
 coefficient kernel serves the billed scalar path on Python ints and the
 vectorised path on arrays of lane_dtype(p): uint32 below p = 2^16, int64
 above.  Only the reduction mod p differs, and no intermediate goes negative,
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import mod
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,25 +29,6 @@ if TYPE_CHECKING:
 
 class TwoTorsionAmbient(ArithmeticError):
     """w = 0: the x is a two-torsion abscissa, division by 2y is impossible."""
-
-
-class TwistedValue(NamedTuple):
-    """c * y^parity in F_p[y]/(y^2 - w); the zero element is (0, 0)."""
-
-    c: int
-    parity: int
-
-
-TV_ZERO = TwistedValue(0, 0)
-
-
-def _tv(c: int, parity: int) -> TwistedValue:
-    return TV_ZERO if c == 0 else TwistedValue(c, parity)
-
-
-def expected_parity(n: int) -> int:
-    """psi_n carries a y factor iff n is even and nonzero."""
-    return 1 if (n % 2 == 0 and n != 0) else 0
 
 
 def psi_entry(m: int, k: int) -> tuple[bool, int, int]:
@@ -166,8 +149,9 @@ def eval_division_poly(
     x: int,
     ell: int,
     ctr: MultCounter,
-) -> TwistedValue:
-    """psi_ell(A, B, x) via the doubling schedule; O(log ell) multiplications.
+) -> int:
+    """The coefficient c of psi_ell(A, B, x) = c * y^eps via the doubling
+    schedule (eps = 1 iff ell is even); O(log ell) multiplications.
 
     The coefficients are plain ints on the batch backend's kernel, reduced
     with %.  Each step computes all 10 entries, as the 80-per-bit budget
@@ -217,7 +201,7 @@ def eval_division_poly(
 
     c = _walk(_psi_coeffs(x, E.A, E.B, p, k + top, g)[k + 1:], steps, g)
     ctr.tick(bill)
-    return _tv(c, expected_parity(ell))
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,10 @@ def audit(
     """Measured multiplications per oracle call against the 1944 n^2 ceiling.
 
     The strict_or oracle short-circuits on non-targets, so a target class
-    (which scans all tau offsets) is the honest worst case; one is included
-    when known or discoverable at desk scale.
+    (which scans all tau offsets) is the honest worst case.  audit does not
+    search for one: target_class, when given, is measured first, then
+    sample_size classes drawn uniformly with the seed.  The CLI passes no
+    target_class, so its rows are random draws only.
     """
     n = (ctx.p - 1).bit_length()  # ceil(log2 p)
     ceiling = ORACLE_MULTS_CONST * n * n

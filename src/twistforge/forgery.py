@@ -2,7 +2,8 @@
 version of the search oracle over (j, b) classes.
 
 G checks annihilation of the point above x by sigma on the curve itself when
-x^3+Ax+B is a square, and by 2p+2-sigma on the quadratic twist otherwise.
+the Legendre symbol chi of x^3+Ax+B is 1, by 2p+2-sigma on the quadratic
+twist when it is -1, and returns sigma mod 2 when it is 0 (order 2).
 F scans x = 0, 1, ..., tau-1; in strict_or mode a single nonzero G settles
 the answer, in paper_sum mode the field sum of all tau terms is returned.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from . import curves
 from .curves import CurveClass, NonResidueTable, WeierstrassCurve
 from .divpoly import BatchAmbient, eval_division_poly
-from .fp_arith import FpContext, MultCounter, Residue
+from .fp_arith import FpContext, MultCounter
 
 MODES = ("paper_sum", "strict_or")
 
@@ -75,12 +76,11 @@ def G(ctx: FpContext, E: WeierstrassCurve, x: int, s: SerialNumber,
     p = ctx.p
     x %= p
     w = (x * x % p * x + E.A * x + E.B) % p
-    kind = ctx.euler_criterion(w, ctr)
-    if kind is Residue.ZERO:
+    chi = ctx.euler_criterion(w, ctr)
+    if chi == 0:
         # (x, 0) has order 2; sigma and 2p+2-sigma share parity.
-        return 0 if s.sigma % 2 == 0 else 1
-    ell = s.sigma if kind is Residue.RESIDUE else s.twist_sigma
-    return eval_division_poly(ctx, E, x, ell, ctr).c
+        return s.sigma % 2
+    return eval_division_poly(ctx, E, x, s.sigma if chi == 1 else s.twist_sigma, ctr)
 
 
 def F(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber, cfg: OracleConfig,
@@ -125,13 +125,10 @@ def batch_G(ctx: FpContext, A: np.ndarray, B: np.ndarray, x: int | np.ndarray,
     """
     p = ctx.p
     x = np.broadcast_to(np.asarray(x, dtype=np.int64) % p, A.shape)
-    w = (x * x % p * x + A * x + B) % p
-    sq = curves.squares_table(ctx)
-    zero_w = w == 0
-    g = np.empty(A.shape, dtype=np.int64)
+    chi = curves.legendre_table(p)[(x * x % p * x + A * x + B) % p]
     # (x, 0) has order 2; sigma and 2p+2-sigma share parity.
-    g[zero_w] = s.sigma % 2
-    for mask, ell in ((sq[w] & ~zero_w, s.sigma), (~sq[w], s.twist_sigma)):
+    g = np.full(A.shape, s.sigma % 2, dtype=np.int64)
+    for mask, ell in ((chi == 1, s.sigma), (chi == -1, s.twist_sigma)):
         if mask.any():
             g[mask] = BatchAmbient(ctx, A[mask], B[mask], x[mask]).eval(ell)
     return g

@@ -7,8 +7,6 @@ accounting unit the cost budgets elsewhere in the package are stated in.
 
 from __future__ import annotations
 
-import enum
-
 FieldElement = int
 
 # Desk-scale cap: everything fits in 64-bit intermediates.
@@ -17,12 +15,6 @@ MAX_PRIME = 2**31
 
 class ZeroInverse(ZeroDivisionError):
     """Raised when inverting 0 in F_p."""
-
-
-class Residue(enum.Enum):
-    RESIDUE = 1
-    NONRESIDUE = -1
-    ZERO = 0
 
 
 class MultCounter:
@@ -73,10 +65,6 @@ class FpContext:
     def __repr__(self) -> str:
         return f"FpContext(p={self.p})"
 
-    def mul(self, a: FieldElement, b: FieldElement, ctr: MultCounter) -> FieldElement:
-        ctr.tick()
-        return a * b % self.p
-
     def inv(self, a: FieldElement) -> FieldElement:
         # Inversions are outside the multiplication budget.
         if a % self.p == 0:
@@ -93,10 +81,10 @@ class FpContext:
         ctr.tick(e.bit_length() + e.bit_count() - 2)
         return pow(a, e, self.p)
 
-    def euler_criterion(self, w: FieldElement, ctr: MultCounter) -> Residue:
-        """w**((p-1)/2): distinguishes residues, nonresidues, and zero."""
+    def euler_criterion(self, w: FieldElement, ctr: MultCounter) -> int:
+        """The Legendre symbol (w/p) as 1, -1 or 0, by w**((p-1)/2); w = 0
+        bills nothing."""
         w %= self.p
         if w == 0:
-            return Residue.ZERO
-        r = self.pow(w, (self.p - 1) // 2, ctr)
-        return Residue.RESIDUE if r == 1 else Residue.NONRESIDUE
+            return 0
+        return 1 if self.pow(w, (self.p - 1) // 2, ctr) == 1 else -1

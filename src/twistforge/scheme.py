@@ -107,10 +107,7 @@ def forge(
     nr = NonResidueTable.for_prime(ctx)
     j, b, A, B = curves.class_pairs(ctx, nr)
     marked = forgery.batch_marked(ctx, A, B, s, cfg)
-    m = int(marked.sum())
-    if m == 0:
-        raise grover.NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
-    plan = grover.plan_iterations(ctx, s, h=m)
+    plan = grover.plan_iterations(ctx, s, h=int(marked.sum()))  # NoTarget if h = 0
     result = grover.run_search(ctx, s, plan, marked, seed=seed)
     sample = result.sample_class
     passes = check_serial(ctx, sample, s, cfg, nr) == 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from twistforge.curves import WeierstrassCurve, _factorize, _squares_table
+from twistforge.curves import WeierstrassCurve, _factorize
 from twistforge.fp_arith import FpContext
 
 # An affine point (x, y); None is the point at infinity.
@@ -62,7 +62,6 @@ def is_on_curve(ctx: FpContext, P: CurvePoint, E: WeierstrassCurve) -> bool:
 def affine_points(ctx: FpContext, E: WeierstrassCurve) -> list[tuple[int, int]]:
     """All affine points, by exhaustive x-scan."""
     p = ctx.p
-    sq = _squares_table(p)
     pts = []
     roots: dict[int, int] = {}
     for y in range(p // 2 + 1):
@@ -71,7 +70,7 @@ def affine_points(ctx: FpContext, E: WeierstrassCurve) -> list[tuple[int, int]]:
         w = (x * x % p * x + E.A * x + E.B) % p
         if w == 0:
             pts.append((x, 0))
-        elif sq[w]:
+        elif w in roots:
             y = roots[w]
             pts.append((x, y))
             pts.append((x, p - y))

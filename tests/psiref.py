@@ -1,18 +1,19 @@
 """Ticked psi arithmetic in F_p[y]/(y^2 - w), for the tests only.
 
-Every product goes through `FpContext.mul` and ticks the counter, and
-psi_ell is also available by the naive O(ell) recurrence.  The package's
-billed walk (`divpoly.eval_division_poly`) runs the shared coefficient
-kernel on plain ints and bills each entry by rule; this module is the
-independent side its values and counts are checked against.
+Values are typed by their parity, c * y^parity, every product goes through
+`mul` and ticks the counter, and psi_ell is also available by the naive
+O(ell) recurrence.  The package's billed walk (`divpoly.eval_division_poly`)
+runs the shared coefficient kernel on plain ints, bills each entry by rule
+and returns only the coefficient; this module is the independent side its
+values and counts are checked against.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import (
-    TV_ZERO, TwistedValue, TwoTorsionAmbient, _psi3_psi4, _tv, expected_parity, psi_entry,
-)
+from twistforge.divpoly import TwoTorsionAmbient, _psi3_psi4, psi_entry
 from twistforge.fp_arith import FpContext, MultCounter
 
 
@@ -20,7 +21,30 @@ class ParityMismatch(ValueError):
     """Nonzero TwistedValues of unequal parity were added."""
 
 
+class TwistedValue(NamedTuple):
+    """c * y^parity in F_p[y]/(y^2 - w); the zero element is (0, 0)."""
+
+    c: int
+    parity: int
+
+
+TV_ZERO = TwistedValue(0, 0)
 TV_ONE = TwistedValue(1, 0)
+
+
+def _tv(c: int, parity: int) -> TwistedValue:
+    return TV_ZERO if c == 0 else TwistedValue(c, parity)
+
+
+def expected_parity(n: int) -> int:
+    """psi_n carries a y factor iff n is even and nonzero."""
+    return 1 if (n % 2 == 0 and n != 0) else 0
+
+
+def mul(ctx: FpContext, a: int, b: int, ctr: MultCounter) -> int:
+    """a * b mod p, one tick."""
+    ctr.tick()
+    return a * b % ctx.p
 
 
 class Ambient:
@@ -34,9 +58,9 @@ class Ambient:
         self.B = E.B
         self.x = x % ctx.p
         self.ctr = ctr
-        x2 = ctx.mul(self.x, self.x, ctr)
-        x3 = ctx.mul(x2, self.x, ctr)
-        ax = ctx.mul(self.A, self.x, ctr)
+        x2 = mul(ctx, self.x, self.x, ctr)
+        x3 = mul(ctx, x2, self.x, ctr)
+        ax = mul(ctx, self.A, self.x, ctr)
         self.w = (x3 + ax + self.B) % ctx.p
         self._inv2w = None
 
@@ -49,9 +73,9 @@ class Ambient:
         return self._inv2w
 
     def mul(self, u: TwistedValue, v: TwistedValue) -> TwistedValue:
-        c = self.ctx.mul(u.c, v.c, self.ctr)
+        c = mul(self.ctx, u.c, v.c, self.ctr)
         if u.parity and v.parity:
-            return _tv(self.ctx.mul(c, self.w, self.ctr), 0)
+            return _tv(mul(self.ctx, c, self.w, self.ctr), 0)
         return _tv(c, u.parity | v.parity)
 
     def sq(self, u: TwistedValue) -> TwistedValue:
@@ -79,7 +103,7 @@ class Ambient:
         """u / (2y): with u = (c, 0), c/(2y) = c*y/(2w), flipping parity."""
         if u.c == 0:
             return TV_ZERO
-        return _tv(self.ctx.mul(u.c, self.inv2w, self.ctr), u.parity ^ 1)
+        return _tv(mul(self.ctx, u.c, self.inv2w, self.ctr), u.parity ^ 1)
 
 
 def g1(amb: Ambient, v: tuple[TwistedValue, ...]) -> TwistedValue:
@@ -113,7 +137,7 @@ def psi_sequence(amb: Ambient, upto: int) -> list[TwistedValue]:
     """
     ctx, ctr = amb.ctx, amb.ctr
     psi = [TwistedValue(ctx.p - 1, 0), TV_ZERO, TV_ONE, TwistedValue(2, 1)]
-    base = _psi3_psi4(lambda a, b: ctx.mul(a, b, ctr), amb.x, amb.A, amb.B, ctx.p)
+    base = _psi3_psi4(lambda a, b: mul(ctx, a, b, ctr), amb.x, amb.A, amb.B, ctx.p)
     # zip stops on the range first, so upto = 3 never bills psi_4's products
     for m, c in zip(range(3, upto + 1), base):
         psi.append(_tv(c, expected_parity(m)))

@@ -27,6 +27,8 @@ CASES = [
       for fmt, flag in (([], []), (["--output", "csv"], []), ([], ["--no-structure"]))),
     *(["mint", "--p", str(p), "--seed", str(seed)]
       for p in (5, 11, 101, 499) for seed in range(10)),
+    # the support cell holds the JSON of the JSON line
+    ["--output", "csv", "mint", "--p", "101", "--seed", "0"],
     # three members of minted supports, then three non-members
     *(["check-serial", "--p", "101", "--sigma", sigma, "--j", j, "--b", b]
       for sigma, j, b in (("103", "16", "1"), ("103", "99", "0"), ("101", "16", "0"),

@@ -12,7 +12,7 @@ from twistforge.curves import (
     CurveClass, InvalidClass, NonResidueTable, NotANonResidue, SingularCurve,
     WeierstrassCurve,
 )
-from twistforge.fp_arith import FpContext, is_prime
+from twistforge.fp_arith import FpContext, MultCounter, is_prime
 
 import grouplaw
 from conftest import get_lab
@@ -51,6 +51,16 @@ def test_twist_parameters_are_the_smallest_nonsquare_and_noncube():
         assert nr.alpha2 == np.flatnonzero(~square)[0], p
         alpha6 = np.flatnonzero(~square & ~cube)[0] if p % 3 == 1 else nr.alpha2
         assert nr.alpha6 == alpha6, p
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101, 65521, 65537])
+def test_legendre_table_matches_euler_criterion(p):
+    """legendre_table(p)[v] is the Legendre symbol of v, 0 at v = 0, for
+    every residue, on both sides of 2^16 (uint32 and int64 batch lanes)."""
+    ctx = FpContext(p)
+    tbl = curves.legendre_table(p)
+    assert tbl.dtype == np.int8 and tbl.shape == (p,)
+    assert tbl.tolist() == [ctx.euler_criterion(v, MultCounter()) for v in range(p)]
 
 
 def test_class_at_is_class_arrays_entry():

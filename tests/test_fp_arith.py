@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from twistforge.fp_arith import (
-    FpContext, MultCounter, Residue, ZeroInverse, is_prime,
-)
+from twistforge.fp_arith import FpContext, MultCounter, ZeroInverse, is_prime
+
+from psiref import mul
 
 
 def test_context_rejects_bad_moduli():
@@ -27,8 +27,8 @@ def test_is_prime_small():
 def test_mul_counts():
     ctx = FpContext(11)
     ctr = MultCounter()
-    assert ctx.mul(7, 8, ctr) == 56 % 11
-    assert ctx.mul(0, 5, ctr) == 0
+    assert mul(ctx, 7, 8, ctr) == 56 % 11
+    assert mul(ctx, 0, 5, ctr) == 0
     assert ctr.count == 2
 
 
@@ -54,9 +54,9 @@ def _square_and_multiply(ctx, a, e, ctr):
     a %= ctx.p
     result = a
     for bit in bin(e)[3:]:
-        result = ctx.mul(result, result, ctr)
+        result = mul(ctx, result, result, ctr)
         if bit == "1":
-            result = ctx.mul(result, a, ctr)
+            result = mul(ctx, result, a, ctr)
     return result
 
 
@@ -101,13 +101,8 @@ def test_euler_criterion_matches_sqrt():
         ctx = FpContext(p)
         squares = {x * x % p for x in range(1, p)}
         for w in range(p):
-            kind = ctx.euler_criterion(w, MultCounter())
-            if w == 0:
-                assert kind is Residue.ZERO
-            elif w in squares:
-                assert kind is Residue.RESIDUE
-            else:
-                assert kind is Residue.NONRESIDUE
+            want = 0 if w == 0 else 1 if w in squares else -1
+            assert ctx.euler_criterion(w, MultCounter()) == want, (p, w)
 
 
 def test_counter_basics():
