@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fp_arith import _factorize
+
 MAX_ABS_D = 10**7
 TATUZAWA_MIN_ABS_D = math.exp(11.2)
 
@@ -32,12 +34,7 @@ class Discriminant:
 
 
 def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(e == 1 for e in _factorize(n).values())
 
 
 def make_discriminant(d: int) -> Discriminant:

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import io
 import json
 import os
 import sys
 from functools import lru_cache
 
-from . import classnum, curves, estimator, forgery, grover, scheme
+from . import classnum, curves, estimator, forgery, scheme
 from .curves import CurveClass
 from .fp_arith import FpContext, MAX_PRIME, is_prime
 from .forgery import InvalidSerial, OracleConfig, SerialNumber
 
 CACHE_ENV = "TWISTFORGE_CACHE"
+TABLE_FIELDS = ["j", "b", "A", "B", "cardinality", "m", "k"]  # the fields of CurveTableRow
 
 
 class UsageError(ValueError):
@@ -57,49 +57,45 @@ def _taus(text: str) -> list[int]:
     return taus
 
 
-def _emit(rows: list[dict], fmt: str) -> None:
+def _emit(rows: list[dict], fmt: str, fh=None) -> None:
     """One JSON line per row, or a CSV table whose non-string cells (mint's
-    support) hold the same JSON as the JSON line."""
+    support) hold the same JSON as the JSON line; to fh, or else stdout."""
+    fh = fh if fh is not None else sys.stdout
     if fmt == "json":
         for row in rows:
-            sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
-    else:
-        if not rows:
-            return
-        buf = io.StringIO()
-        writer = csv_mod.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    elif rows:
+        writer = csv_mod.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows({k: v if isinstance(v, str) else json.dumps(v, sort_keys=True)
                           for k, v in row.items()} for row in rows)
-        sys.stdout.write(buf.getvalue())
 
 
-def _s(v) -> str:
-    return str(v)
-
-
-def _cached_table(ctx: FpContext, path: str,
-                  with_structure: bool) -> list[curves.CurveTableRow] | None:
-    """The table cached at path; None (with a warning) if it is malformed."""
+def _cached_table(ctx: FpContext, path: str, with_structure: bool) -> list[dict] | None:
+    """The enumerate rows cached at path, each cell as str(int(cell)) so a hit
+    prints what a fresh run prints; None (with a warning) if it is malformed."""
     try:
-        rows = curves.read_curve_table(path)
-    except ValueError as exc:
-        reason = str(exc)
-    else:
+        with open(path, newline="") as fh:
+            header, *cells = list(csv_mod.reader(fh)) or [None]  # an empty file has no header
+        if header != TABLE_FIELDS:
+            raise ValueError(f"unexpected curve-table header: {header}")
+        if any(len(row) != len(TABLE_FIELDS) for row in cells):
+            raise ValueError(f"curve-table rows must have {len(TABLE_FIELDS)} fields")
+        rows = [dict(zip(TABLE_FIELDS, [str(int(v)) for v in row])) for row in cells]
         if len(rows) != curves.class_count(ctx):
-            reason = f"{len(rows)} rows, expected {curves.class_count(ctx)}"
-        elif any((r.m > 0) != with_structure for r in rows):  # m = 0 marks no structure
-            reason = "group structure missing" if with_structure else "unexpected group structure"
-        else:
-            return rows
-    print(f"warning: rebuilding cache file {path}: {reason}", file=sys.stderr)
-    return None
+            raise ValueError(f"{len(rows)} rows, expected {curves.class_count(ctx)}")
+        if any((int(r["m"]) > 0) != with_structure for r in rows):  # m = 0 marks no structure
+            raise ValueError("group structure missing" if with_structure
+                             else "unexpected group structure")
+    except (ValueError, csv_mod.Error) as exc:
+        print(f"warning: rebuilding cache file {path}: {exc}", file=sys.stderr)
+        return None
+    return rows
 
 
 def cmd_enumerate(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    rows = None
     path = None
     if cache_dir:
         # tables without group structure hold m = k = 0, so they get their own file
@@ -107,16 +103,23 @@ def cmd_enumerate(args) -> list[dict]:
         path = os.path.join(cache_dir, f"curves_p{ctx.p}{suffix}.csv")
         if os.path.exists(path):
             rows = _cached_table(ctx, path, not args.no_structure)
-    if rows is None:
-        rows = curves.build_curve_table(ctx, with_structure=not args.no_structure)
-        if path:
-            os.makedirs(cache_dir, exist_ok=True)
-            curves.write_curve_table(path, rows)
-    return [
-        {"j": _s(r.j), "b": _s(r.b), "A": _s(r.A), "B": _s(r.B),
-         "cardinality": _s(r.cardinality), "m": _s(r.m), "k": _s(r.k)}
-        for r in rows
-    ]
+            if rows is not None:
+                return rows
+    rows = [{f: str(getattr(r, f)) for f in TABLE_FIELDS}
+            for r in curves.build_curve_table(ctx, with_structure=not args.no_structure)]
+    if path:
+        # the --output csv table, written beside path and renamed over it, so
+        # a reader never sees a half-written file
+        os.makedirs(cache_dir, exist_ok=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", newline="") as fh:
+                _emit(rows, "csv", fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return rows
 
 
 def cmd_mint(args) -> list[dict]:
@@ -125,7 +128,11 @@ def cmd_mint(args) -> list[dict]:
         note = scheme.mint(ctx, args.seed)
     except scheme.Exhausted as exc:
         raise UsageError(str(exc)) from exc
-    return [json.loads(scheme.banknote_to_json(note))]
+    return [{
+        "p": str(note.p),
+        "sigma": str(note.serial.sigma),
+        "support": [{"j": str(c.j), "b": str(c.b)} for c in note.support],
+    }]
 
 
 def cmd_check_serial(args) -> list[dict]:
@@ -135,7 +142,7 @@ def cmd_check_serial(args) -> list[dict]:
     if not (0 <= args.j < ctx.p and 0 <= args.b < curves.b_range(ctx, args.j)):
         raise UsageError(f"(j={args.j}, b={args.b}) is not a legal class mod {ctx.p}")
     bit = scheme.check_serial(ctx, c, s, _config(ctx, args))
-    return [{"pass": _s(bit)}]
+    return [{"pass": str(bit)}]
 
 
 def cmd_forge_sim(args) -> list[dict]:
@@ -143,19 +150,16 @@ def cmd_forge_sim(args) -> list[dict]:
     s = _serial(ctx, args.sigma)
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    try:
-        result = scheme.forge(ctx, s, _config(ctx, args), seed=args.seed)
-    except grover.NoTarget as exc:
-        raise UsageError(str(exc)) from exc
+    result = scheme.forge(ctx, s, _config(ctx, args), seed=args.seed)
     return [{
-        "p": _s(ctx.p),
-        "sigma": _s(s.sigma),
+        "p": str(ctx.p),
+        "sigma": str(s.sigma),
         "success_probability": repr(result.success_probability),
-        "oracle_queries": _s(result.oracle_queries),
-        "sample_j": _s(result.sample.j),
-        "sample_b": _s(result.sample.b),
-        "sample_passes": _s(int(result.sample_passes)),
-        "support_size": _s(len(result.banknote.support)),
+        "oracle_queries": str(result.oracle_queries),
+        "sample_j": str(result.sample.j),
+        "sample_b": str(result.sample.b),
+        "sample_passes": str(int(result.sample_passes)),
+        "support_size": str(len(result.banknote.support)),
     }]
 
 
@@ -165,15 +169,15 @@ def cmd_classnum(args) -> list[dict]:
     fr = classnum.frobenius_discriminant(ctx.p, s.sigma)
     rep = classnum.class_number_report(ctx.p, s.sigma, with_exact=not args.no_exact)
     return [{
-        "p": _s(ctx.p),
-        "sigma": _s(s.sigma),
-        "d": _s(rep.d.d),
-        "delta": _s(fr.delta),
-        "accepted": _s(int(fr.accepted)),
-        "is_fundamental": _s(int(rep.d.is_fundamental)),
-        "h": _s(rep.h) if rep.h is not None else "",
+        "p": str(ctx.p),
+        "sigma": str(s.sigma),
+        "d": str(rep.d.d),
+        "delta": str(fr.delta),
+        "accepted": str(int(fr.accepted)),
+        "is_fundamental": str(int(rep.d.is_fundamental)),
+        "h": str(rep.h) if rep.h is not None else "",
         "tatuzawa_lower": repr(rep.tatuzawa_lower),
-        "tatuzawa_valid": _s(int(rep.tatuzawa_valid)),
+        "tatuzawa_valid": str(int(rep.tatuzawa_valid)),
         "l_upper": repr(rep.l_upper),
         "h_upper": repr(rep.h_upper),
         "iteration_lower": repr(rep.iteration_lower),
@@ -185,7 +189,7 @@ def cmd_bounds(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     lo, hi = classnum.iteration_bounds(ctx.p)
     return [{
-        "p": _s(ctx.p),
+        "p": str(ctx.p),
         "tatuzawa_lower": repr(classnum.tatuzawa_lower_bound(ctx.p)),
         "h_upper": repr(classnum.class_number_upper_bound(ctx.p)),
         "iteration_lower": repr(lo),
@@ -209,9 +213,9 @@ def cmd_audit(args) -> list[dict]:
     rows = estimator.audit(ctx, s, _config(ctx, args),
                            sample_size=args.samples, seed=args.seed)
     return [{
-        "j": _s(r.j), "b": _s(r.b), "is_target": _s(int(r.is_target)),
-        "measured_mults": _s(r.measured_mults),
-        "predicted_ceiling": _s(r.predicted_ceiling),
+        "j": str(r.j), "b": str(r.b), "is_target": str(int(r.is_target)),
+        "measured_mults": str(r.measured_mults),
+        "predicted_ceiling": str(r.predicted_ceiling),
         "ratio": repr(r.ratio),
     } for r in rows]
 
@@ -223,8 +227,8 @@ def cmd_fp_experiment(args) -> list[dict]:
     rows = forgery.false_positive_experiment(
         ctx, s, taus, trials=args.trials, seed=args.seed, mode=args.mode)
     return [{
-        "tau": _s(r.tau), "rate": repr(r.rate), "bound": repr(r.bound),
-        "zero_curves": _s(r.zero_curves), "total_curves": _s(r.total_curves),
+        "tau": str(r.tau), "rate": repr(r.rate), "bound": repr(r.bound),
+        "zero_curves": str(r.zero_curves), "total_curves": str(r.total_curves),
     } for r in rows]
 
 

@@ -7,9 +7,7 @@ psi_l torsion counts.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -17,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .divpoly import BatchAmbient, _vec_pow
-from .fp_arith import FpContext, MultCounter
+from .fp_arith import FpContext, MultCounter, _factorize
 
 
 class InvalidClass(ValueError):
@@ -241,19 +239,6 @@ def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> Weierstr
     return WeierstrassCurve(ai2 * E.A % ctx.p, ai2 * ai % ctx.p * E.B % ctx.p)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def group_structure(ctx: FpContext, E: WeierstrassCurve, n: int | None = None) -> tuple[int, int]:
     """(m, k) with E(F_p) = Z/m x Z/mk, m | p-1, m^2 k = #E.
 
@@ -320,35 +305,3 @@ def build_curve_table(ctx: FpContext, with_structure: bool = True) -> list[Curve
             m, k = 0, 0
         rows.append(CurveTableRow(jc, bc, Ac, Bc, card, m, k))
     return rows
-
-
-CURVE_TABLE_FIELDS = ["j", "b", "A", "B", "cardinality", "m", "k"]
-
-
-def write_curve_table(path, rows: list[CurveTableRow]) -> None:
-    """Write to a temp file beside path, then rename it over path, so a
-    reader never sees a half-written table."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CURVE_TABLE_FIELDS)
-            for r in rows:
-                writer.writerow([r.j, r.b, r.A, r.B, r.cardinality, r.m, r.k])
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def read_curve_table(path) -> list[CurveTableRow]:
-    """Rows written by write_curve_table; ValueError if the file is malformed."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CURVE_TABLE_FIELDS:
-            raise ValueError(f"unexpected curve-table header: {header}")
-        rows = list(reader)
-    if any(len(row) != len(CURVE_TABLE_FIELDS) for row in rows):
-        raise ValueError(f"curve-table rows must have {len(CURVE_TABLE_FIELDS)} fields")
-    return [CurveTableRow(*map(int, row)) for row in rows]

@@ -37,17 +37,22 @@ class MultCounter:
         return f"MultCounter({self.count})"
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _factorize(n) == {n: 1}
 
 
 class FpContext:

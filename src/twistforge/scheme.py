@@ -9,7 +9,6 @@ discriminant is square-free and exceeds 3p.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -107,7 +106,7 @@ def forge(
     nr = NonResidueTable.for_prime(ctx)
     j, b, A, B = curves.class_pairs(ctx, nr)
     marked = forgery.batch_marked(ctx, A, B, s, cfg)
-    plan = grover.plan_iterations(ctx, s, h=int(marked.sum()))  # NoTarget if h = 0
+    plan = grover.plan_iterations(ctx, s, h=int(marked.sum()))  # h >= 1 (Deuring)
     result = grover.run_search(ctx, s, plan, marked, seed=seed)
     sample = result.sample_class
     passes = check_serial(ctx, sample, s, cfg, nr) == 1
@@ -115,20 +114,3 @@ def forge(
     note = Banknote(ctx.p, s, support)
     return ForgeResult(note, result.success_probability, plan.iterations,
                        sample, passes)
-
-
-def banknote_to_json(note: Banknote) -> str:
-    """JSON wire format {p, sigma, support:[{j,b}...]}, decimal strings."""
-    return json.dumps({
-        "p": str(note.p),
-        "sigma": str(note.serial.sigma),
-        "support": [{"j": str(c.j), "b": str(c.b)} for c in note.support],
-    })
-
-
-def banknote_from_json(text: str) -> Banknote:
-    obj = json.loads(text)
-    p = int(obj["p"])
-    sigma = int(obj["sigma"])
-    support = tuple(CurveClass(int(e["j"]), int(e["b"])) for e in obj["support"])
-    return Banknote(p, SerialNumber(sigma, p), support)

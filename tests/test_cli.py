@@ -8,8 +8,7 @@ import sys
 import pytest
 
 import twistforge
-from twistforge import cli, curves
-from twistforge.fp_arith import FpContext
+from twistforge import cli
 
 
 def run(argv, capsys):
@@ -60,13 +59,44 @@ def test_enumerate_cache_keeps_structure_flag(tmp_path, capsys):
     assert rc == 0 and out == bare
 
 
+def test_enumerate_cache_is_the_csv_output(tmp_path, capsys):
+    for flags, name in (([], "curves_p11.csv"),
+                        (["--no-structure"], "curves_p11_nostructure.csv")):
+        rc, out, _ = run(["--output", "csv", "enumerate", "--p", "11"] + flags, capsys)
+        assert rc == 0
+        rc, _, _ = run(["enumerate", "--p", "11", "--cache-dir", str(tmp_path)] + flags,
+                       capsys)
+        assert rc == 0
+        assert (tmp_path / name).read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("cell", [" {}", "0{}"])
+def test_enumerate_cache_serves_padded_integers_as_fresh(tmp_path, capsys, cell):
+    """A cached cell with a leading space or zero is still an integer: it is
+    served without a warning and printed as a fresh run prints it."""
+    cache = ["--cache-dir", str(tmp_path)]
+    outputs = {}
+    for fmt in ("json", "csv"):
+        rc, outputs[fmt], _ = run(["--output", fmt, "enumerate", "--p", "11"], capsys)
+    run(["enumerate", "--p", "11"] + cache, capsys)
+    path = tmp_path / "curves_p11.csv"
+    with open(path, newline="") as fh:
+        table = list(csv.reader(fh))
+    table[1] = [cell.format(v) for v in table[1]]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+    for fmt, fresh in outputs.items():
+        rc, out, err = run(["--output", fmt, "enumerate", "--p", "11"] + cache, capsys)
+        assert (rc, out, err) == (0, fresh, "")
+
+
 def test_enumerate_rebuilds_broken_cache(tmp_path, capsys):
     rc, fresh, _ = run(["enumerate", "--p", "11"], capsys)
     path = tmp_path / "curves_p11.csv"
     cache = ["--cache-dir", str(tmp_path)]
     header = "j,b,A,B,cardinality,m,k\n"
-    ctx = FpContext(11)
-    curves.write_curve_table(path, curves.build_curve_table(ctx, with_structure=False))
+    run(["enumerate", "--p", "11", "--no-structure"] + cache, capsys)
+    (tmp_path / "curves_p11_nostructure.csv").rename(path)
     stale = path.read_text()  # a no-structure table under the structure key
     # bad header, empty, a short row, too few rows, no group structure
     for broken in ("j,b,A\n1,2,3\n", "", header + "0,0,0,1,12,1\n",

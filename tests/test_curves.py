@@ -275,16 +275,6 @@ def test_make_curve_rejects_singular():
         curves.j_invariant(ctx, WeierstrassCurve(0, 0))
 
 
-def test_curve_table_roundtrip(tmp_path):
-    ctx = FpContext(11)
-    rows = curves.build_curve_table(ctx)
-    path = os.path.join(tmp_path, "t.csv")
-    curves.write_curve_table(path, rows)
-    assert curves.read_curve_table(path) == rows
-    with open(path) as fh:
-        assert fh.readline().strip() == "j,b,A,B,cardinality,m,k"
-
-
 def test_curve_table_contents():
     ctx = FpContext(11)
     for r in curves.build_curve_table(ctx):
