@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divpoly import BatchAmbient, _vec_pow
+from .divpoly import BatchAmbient, _rem, _vec_pow, lane_dtype
 from .fp_arith import FpContext, MultCounter, _factorize
 
 
@@ -180,9 +180,10 @@ def class_pairs(ctx: FpContext, nr: NonResidueTable
     a2b, a3b, a1b, a6b = (
         np.array([pow(a, k * e, p) for e in range(6)], dtype=np.int64)[b]
         for a, k in ((nr.alpha2, 2), (nr.alpha2, 3), (nr.alpha2, 1), (nr.alpha6, 1)))
-    denom = _vec_pow(1728 - np.arange(p, dtype=np.int64), p - 2, p)[j]
-    A = 3 * j % p * a2b % p * denom % p
-    B = 2 * j % p * a3b % p * denom % p
+    k = np.arange(p, dtype=lane_dtype(p))
+    denom = _vec_pow(1728 % p + p - k, p - 2, p).astype(np.int64)[j]
+    A = _rem(_rem(_rem(3 * j, p) * a2b, p) * denom, p)
+    B = _rem(_rem(_rem(2 * j, p) * a3b, p) * denom, p)
     zero, j1728 = j == 0, j == 1728 % p
     A[zero], B[zero] = 0, a6b[zero]
     A[j1728], B[j1728] = a1b[j1728], 0
@@ -205,8 +206,9 @@ def count_points(ctx: FpContext, E: WeierstrassCurve) -> int:
     return int(count_points_batch(ctx, A, B)[0])
 
 
-# Cells of the x-by-curve matrix count_points_batch holds at once.
-COUNT_CHUNK_CELLS = 1 << 22
+# Cells of the x-by-curve matrix count_points_batch holds at once (8 MiB
+# of int64).
+COUNT_CHUNK_CELLS = 1 << 20
 
 
 def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -143,21 +143,22 @@ def batch_marked(ctx: FpContext, A: np.ndarray, B: np.ndarray, s: SerialNumber,
     route only changes the cost profile, not the decision.  Class i scans
     x = x0_i, ..., x0_i + tau - 1 (x0 is one start for every class or an
     array aligned with A and B).  strict_or sweeps the first abscissa over
-    every class, then the survivors over the next ones in rounds of 2, 4,
-    8, ... abscissae, each round one batch_G call.
+    every class, then the survivors over the next ones in rounds, each one
+    batch_G call on at most len(A) lanes: as many abscissae per survivor as
+    fit, so a few survivors take the rest of tau in one round.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     if cfg.mode == "paper_sum":
         return sum(batch_G(ctx, A, B, x0 + x, s) for x in range(cfg.tau)) % ctx.p == 0
     alive = np.flatnonzero(batch_G(ctx, A, B, x0, s) == 0)
     x0 = np.broadcast_to(x0, A.shape)
-    lo, width = 1, 2
+    lo = 1
     while alive.size and lo < cfg.tau:
-        xs = np.arange(lo, min(lo + width, cfg.tau), dtype=np.int64)
+        xs = np.arange(lo, min(lo + len(A) // alive.size, cfg.tau), dtype=np.int64)
         g = batch_G(ctx, np.repeat(A[alive], xs.size), np.repeat(B[alive], xs.size),
                     (x0[alive, None] + xs).ravel(), s)
         alive = alive[(g.reshape(alive.size, xs.size) == 0).all(axis=1)]
-        lo, width = lo + width, 2 * width
+        lo += xs.size
     marked = np.zeros(len(A), dtype=bool)
     marked[alive] = True
     return marked

@@ -1,4 +1,5 @@
 
+import math
 import random
 
 import numpy as np
@@ -98,26 +99,63 @@ def test_batch_marked_matches_scalar(lab101):
 
 
 def test_batch_marked_matches_per_x_sweep(lab1009):
-    """The doubling rounds keep exactly the classes a one-x-at-a-time
-    strict_or sweep keeps, including taus that end mid-round, from x = 0 and
-    from a start per class (some near p, so x0 + tau wraps)."""
+    """The survivor rounds keep exactly the classes a one-x-at-a-time
+    strict_or sweep keeps, from x = 0 and from a start per class (some near
+    p, so x0 + tau wraps).  At tau = 3 default_tau(p) = 90 the rounds of
+    sigma = 1032, 1044 and 1056 split tau over two or three batch_G calls.
+    The survivors of the first abscissa, swept again as a batch of their
+    own, leave no lane to spare, so their rounds start at one abscissa."""
     lab = lab1009
     band = lab.valid_sigmas()
     sigmas = band[::len(band) // 10][:10]
     starts = np.random.default_rng(8).integers(0, lab.p, len(lab.A))
     starts[::4] = lab.p - 1 - starts[::4] % 8
+    taus = (1, 2, 3, 7, 8, default_tau(lab.p), 3 * default_tau(lab.p))
     for x0 in (0, starts):
-        for tau in (1, 2, 3, 7, 8, OracleConfig.for_prime(lab.p).tau):
-            for sigma in sigmas:
-                s = SerialNumber(sigma, lab.p)
-                alive = np.arange(len(lab.A))
-                for x in range(tau):
-                    xs = np.broadcast_to(x0, lab.A.shape)[alive] + x
-                    alive = alive[forgery.batch_G(lab.ctx, lab.A[alive], lab.B[alive], xs, s) == 0]
+        x0s = np.broadcast_to(x0, lab.A.shape)
+        for sigma in sigmas:
+            s = SerialNumber(sigma, lab.p)
+            alive = np.arange(len(lab.A))
+            for x in range(max(taus)):  # the survivors after x are the answer at tau = x + 1
+                alive = alive[forgery.batch_G(lab.ctx, lab.A[alive], lab.B[alive],
+                                              x0s[alive] + x, s) == 0]
+                if x == 0:
+                    first = alive
+                if x + 1 not in taus:
+                    continue
                 want = np.zeros(len(lab.A), dtype=bool)
                 want[alive] = True
-                got = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, OracleConfig(tau), x0)
-                assert (got == want).all(), (tau, sigma)
+                cfg = OracleConfig(x + 1)
+                got = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, cfg, x0)
+                assert (got == want).all(), (x + 1, sigma)
+                if x < 8:  # one batch_G per abscissa while targets fill half the lanes
+                    got = forgery.batch_marked(lab.ctx, lab.A[first], lab.B[first], s, cfg,
+                                               x0s[first])
+                    assert (got == want[first]).all(), (x + 1, sigma, "x = 0 survivors")
+
+
+@pytest.mark.parametrize("p", [101, 311, 1009])
+def test_batch_marked_rounds_fit_the_first_sweep(monkeypatch, p):
+    """No strict_or round sweeps more lanes than the first sweep over every
+    class, at every sigma of the band and tau in {default, 3 default}, and
+    some of those cases take more than one survivor round."""
+    ctx = FpContext(p)
+    _, _, A, B = curves.class_pairs(ctx, curves.NonResidueTable.for_prime(ctx))
+    lanes = []
+    batch_G = forgery.batch_G
+    monkeypatch.setattr(forgery, "batch_G",
+                        lambda ctx, A, *args: lanes.append(len(A)) or batch_G(ctx, A, *args))
+    t = math.isqrt(4 * p)
+    split = 0
+    for sigma in range(p + 1 - t, p + 2 + t):
+        if sigma == p + 1:
+            continue
+        for tau in (default_tau(p), 3 * default_tau(p)):
+            lanes.clear()
+            forgery.batch_marked(ctx, A, B, SerialNumber(sigma, p), OracleConfig(tau))
+            assert lanes[0] == len(A) >= max(lanes), (sigma, tau, lanes)
+            split += len(lanes) > 2
+    assert split > 0
 
 
 def test_batch_G_matches_scalar(lab101):
