@@ -26,7 +26,6 @@ class OutOfRange(ValueError):
 class Discriminant:
     d: int
     is_fundamental: bool
-    is_squarefree: bool  # of |d| when d odd, of |d|/4 when d = 0 mod 4
 
     def __post_init__(self):
         if self.d >= 0 or self.d % 4 not in (0, 1):
@@ -39,13 +38,11 @@ def _squarefree(n: int) -> bool:
 
 def make_discriminant(d: int) -> Discriminant:
     if d % 4 == 1:
-        sf = _squarefree(-d)
-        fundamental = sf
+        fundamental = _squarefree(-d)
     else:
         q = -d // 4
-        sf = _squarefree(q)
-        fundamental = sf and q % 4 in (1, 2)  # -4q fundamental iff q = 1, 2 mod 4
-    return Discriminant(d, fundamental, sf)
+        fundamental = _squarefree(q) and q % 4 in (1, 2)  # -4q fundamental iff q = 1, 2 mod 4
+    return Discriminant(d, fundamental)
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,9 @@ def frobenius_discriminant(p: int, sigma: int) -> FrobeniusResult:
         raise ValueError("sigma outside the Hasse band")
     delta = 4 * p - t * t
     disc = make_discriminant(-delta)
-    accepted = _squarefree(delta) and delta > 3 * p
+    # Delta square-free without factoring it again: d = t^2 is 0 or 1 mod 4;
+    # at 0, 4 | Delta, and at 1, d fundamental means Delta square-free
+    accepted = disc.d % 4 == 1 and disc.is_fundamental and delta > 3 * p
     return FrobeniusResult(disc, delta, accepted)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from .fp_arith import FpContext, MAX_PRIME, is_prime
 from .forgery import InvalidSerial, OracleConfig, SerialNumber
 
 CACHE_ENV = "TWISTFORGE_CACHE"
-TABLE_FIELDS = ["j", "b", "A", "B", "cardinality", "m", "k"]  # the fields of CurveTableRow
+TABLE_FIELDS = [f.name for f in dataclasses.fields(curves.CurveTableRow)]
 
 
 class UsageError(ValueError):

@@ -1,8 +1,7 @@
 """Elliptic-curve classes over F_p.
 
-(j,b) class enumeration, conversion to short Weierstrass form, quadratic
-twists, exhaustive ground-truth point counting, and group structure from
-psi_l torsion counts.
+(j,b) class enumeration, conversion to short Weierstrass form, exhaustive
+ground-truth point counting, and group structure from psi_l torsion counts.
 """
 
 from __future__ import annotations
@@ -22,14 +21,6 @@ class InvalidClass(ValueError):
     """(j, b) outside the legal b-range."""
 
 
-class SingularCurve(ValueError):
-    """4A^3 + 27B^2 == 0."""
-
-
-class NotANonResidue(ValueError):
-    """Twist parameter is a square (or zero)."""
-
-
 @dataclass(frozen=True)
 class CurveClass:
     j: int
@@ -40,14 +31,6 @@ class CurveClass:
 class WeierstrassCurve:
     A: int
     B: int
-
-
-def make_curve(ctx: FpContext, A: int, B: int) -> WeierstrassCurve:
-    A %= ctx.p
-    B %= ctx.p
-    if (4 * A * A % ctx.p * A + 27 * B * B) % ctx.p == 0:
-        raise SingularCurve(f"4A^3+27B^2 = 0 for (A,B)=({A},{B}) mod {ctx.p}")
-    return WeierstrassCurve(A, B)
 
 
 @lru_cache(maxsize=32)
@@ -190,15 +173,6 @@ def class_pairs(ctx: FpContext, nr: NonResidueTable
     return j, b, A, B
 
 
-def j_invariant(ctx: FpContext, E: WeierstrassCurve) -> int:
-    p = ctx.p
-    a3 = 4 * pow(E.A, 3, p) % p
-    disc = (a3 + 27 * E.B * E.B) % p
-    if disc == 0:
-        raise SingularCurve("singular curve has no j-invariant")
-    return 1728 * a3 % p * ctx.inv(disc) % p
-
-
 def count_points(ctx: FpContext, E: WeierstrassCurve) -> int:
     """#E(F_p) by the character sum 1 + sum_x (1 + chi(x^3+Ax+B))."""
     A = np.array([E.A], dtype=np.int64)
@@ -232,25 +206,14 @@ def count_points_batch(ctx: FpContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return out
 
 
-def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> WeierstrassCurve:
-    """The twist y^2 = x^3 + alpha^-2 A x + alpha^-3 B."""
-    if ctx.euler_criterion(alpha, MultCounter()) != -1:
-        raise NotANonResidue(f"{alpha} is not a quadratic nonresidue mod {ctx.p}")
-    ai = ctx.inv(alpha)
-    ai2 = ai * ai % ctx.p
-    return WeierstrassCurve(ai2 * E.A % ctx.p, ai2 * ai % ctx.p * E.B % ctx.p)
-
-
-def group_structure(ctx: FpContext, E: WeierstrassCurve, n: int | None = None) -> tuple[int, int]:
-    """(m, k) with E(F_p) = Z/m x Z/mk, m | p-1, m^2 k = #E.
+def group_structure(ctx: FpContext, E: WeierstrassCurve, n: int) -> tuple[int, int]:
+    """(m, k) with E(F_p) = Z/m x Z/mk, m | p-1, m^2 k = n = #E.
 
     The q-part of m is the largest q^e with #E[q^e] = q^{2e}.  That needs
     q^{2e} | #E, and q^e | p-1 by the Weil pairing, so only the primes of
     gcd(#E, p-1) are tried; each #E[l] is counted with the psi_l test.
     """
     p = ctx.p
-    if n is None:
-        n = count_points(ctx, E)
     primes = [q for q in _factorize(math.gcd(n, p - 1)) if n % (q * q) == 0]
     if not primes:
         return 1, n

@@ -1,9 +1,10 @@
-"""Pure-arithmetic cost accounting for the attack, plus audits of predicted
+"""The attack's resource table in pure arithmetic, plus audits of predicted
 versus measured multiplication counts.
 
 Conventions: n = ceil(log2 p) everywhere a bit size appears; the brute-force
-column prints its asymptotic form with constant 1 and is labeled as a
-convention, not a claim.
+columns (mults_bf, qubits_bf) print their asymptotic forms with constant 1
+and are labeled as a convention, not a claim.  They are the table's only
+comparison with another attack.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
     )
 
 
-REPORT_FIELDS = [
-    "bits", "mults_ours", "mults_bf", "qubits_ours", "qubits_bf",
-    "iter_lo", "iter_hi", "total_lo", "total_hi",
-]
-
-
 def report_row(r: ResourceReport) -> dict[str, str]:
     """CSV/JSON row; integer-valued entries as decimal strings."""
     return {
@@ -134,36 +129,3 @@ def audit(
         rows.append(AuditRow(c.j, c.b, bool(bit), ctr.count, ceiling,
                              ctr.count / ceiling))
     return rows
-
-
-@dataclass(frozen=True)
-class AttackComparison:
-    p: int
-    h: float
-    t1_oracle: float  # random-walk oracle cost (SEA bottleneck convention)
-    t2_oracle: float  # our oracle cost
-    walk_iterations: float  # sqrt(h)
-    ours_iterations: float  # sqrt(2p/h)
-    walk_total: float
-    ours_total: float
-    iteration_ratio: float  # sqrt(h^2 / 2p)
-
-
-def compare_attacks(p: int, h: float, t1: float | None = None) -> AttackComparison:
-    """T1 sqrt(h) for the random-walk route vs T2 sqrt(2p/h) for ours.
-
-    Default T1 is the SEA bottleneck l^2 log p at l = p, i.e. p^2 log2 p."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    n = math.log2(p)
-    if t1 is None:
-        t1 = float(p) ** 2 * n
-    t2 = ORACLE_MULTS_CONST * n * n
-    walk_it = math.sqrt(h)
-    ours_it = math.sqrt(2 * p / h)
-    return AttackComparison(
-        p=p, h=h, t1_oracle=t1, t2_oracle=t2,
-        walk_iterations=walk_it, ours_iterations=ours_it,
-        walk_total=t1 * walk_it, ours_total=t2 * ours_it,
-        iteration_ratio=math.sqrt(h * h / (2 * p)),
-    )

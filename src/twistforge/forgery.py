@@ -42,10 +42,6 @@ class SerialNumber:
             )
 
     @property
-    def trace(self) -> int:
-        return self.sigma - self.p - 1
-
-    @property
     def twist_sigma(self) -> int:
         return 2 * self.p + 2 - self.sigma
 
@@ -173,15 +169,6 @@ def fiber(ctx: FpContext, A: np.ndarray, B: np.ndarray, s: SerialNumber) -> np.n
     """
     marked = np.flatnonzero(batch_marked(ctx, A, B, s, OracleConfig.for_prime(ctx.p)))
     return marked[curves.count_points_batch(ctx, A[marked], B[marked]) == s.sigma]
-
-
-def g_zero_fraction(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber) -> float:
-    """Exact fraction of x in F_p with G(A, B, x) = 0 (vectorized over x)."""
-    p = ctx.p
-    A = np.full(p, E.A, dtype=np.int64)
-    B = np.full(p, E.B, dtype=np.int64)
-    g = batch_G(ctx, A, B, np.arange(p, dtype=np.int64), s)
-    return float((g == 0).sum()) / p
 
 
 def per_x_zero_bound(p: int) -> float:

@@ -41,20 +41,10 @@ def diffuse(v: np.ndarray) -> np.ndarray:
     return 2.0 * v.mean() - v
 
 
-def grover_success(n: int, m: int, k: int) -> float:
-    """Closed form sin^2((2k+1) asin(sqrt(M/N)))."""
-    theta = math.asin(math.sqrt(m / n))
-    return math.sin((2 * k + 1) * theta) ** 2
-
-
 @dataclass(frozen=True)
 class SearchPlan:
     N: int
-    M: float  # exact count, or the estimate the plan was based on
     iterations: int
-    basis: str  # "exact_M" | "class_number_bounds"
-    iteration_sandwich: tuple[float, float] | None = None
-    paper_iterations: float | None = None  # sqrt(2p/h), no pi/4 factor
 
 
 def optimal_iterations(n: int, m: float) -> int:
@@ -76,17 +66,11 @@ def plan_iterations(
     target), which is conservative: fewer assumed targets, more iterations.
     """
     n = curves.class_count(ctx)
-    bounds = classnum.class_number_report(ctx.p, s.sigma, with_exact=False)
-    sandwich = (bounds.iteration_lower, bounds.iteration_upper)
-    if h is not None:
-        if h == 0:
-            raise NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
-        paper = math.sqrt(2 * ctx.p / h)
-        return SearchPlan(n, h, optimal_iterations(n, h), "exact_M", sandwich, paper)
-    m_est = max(bounds.tatuzawa_lower, 1.0)
-    paper = math.sqrt(2 * ctx.p / m_est)
-    return SearchPlan(n, m_est, optimal_iterations(n, m_est),
-                      "class_number_bounds", sandwich, paper)
+    if h is None:
+        h = max(classnum.tatuzawa_lower_bound(ctx.p), 1.0)
+    elif h == 0:
+        raise NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
+    return SearchPlan(n, optimal_iterations(n, h))
 
 
 @dataclass

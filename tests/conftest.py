@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twistforge import curves
-from twistforge.curves import NonResidueTable
+from twistforge import curves, forgery
+from twistforge.curves import NonResidueTable, WeierstrassCurve
+from twistforge.forgery import SerialNumber
 from twistforge.fp_arith import FpContext
 
 
@@ -37,6 +38,21 @@ def get_lab(p: int) -> Lab:
     if p not in _LABS:
         _LABS[p] = Lab(p)
     return _LABS[p]
+
+
+def g_zero_fraction(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber) -> float:
+    """Exact fraction of x in F_p with G(A, B, x) = 0 (vectorized over x)."""
+    p = ctx.p
+    A = np.full(p, E.A, dtype=np.int64)
+    B = np.full(p, E.B, dtype=np.int64)
+    g = forgery.batch_G(ctx, A, B, np.arange(p, dtype=np.int64), s)
+    return float((g == 0).sum()) / p
+
+
+def grover_success(n: int, m: int, k: int) -> float:
+    """Closed form sin^2((2k+1) asin(sqrt(M/N)))."""
+    theta = math.asin(math.sqrt(m / n))
+    return math.sin((2 * k + 1) * theta) ** 2
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
-"""Affine group law on y^2 = x^3 + Ax + B over F_p, for the tests only.
+"""The curve reference on y^2 = x^3 + Ax + B over F_p, for the tests only:
+the affine group law, the j-invariant and the quadratic twist.
 
-The package finds torsion and group structure with the psi_l test; this
-chord-and-tangent arithmetic is the independent side it is checked against.
+The package finds torsion and group structure with the psi_l test, and
+realises classes and their twists from (j, b); this arithmetic is the
+independent side it is checked against.
 """
 
 from __future__ import annotations
@@ -9,10 +11,36 @@ from __future__ import annotations
 from typing import Optional
 
 from twistforge.curves import WeierstrassCurve, _factorize
-from twistforge.fp_arith import FpContext
+from twistforge.fp_arith import FpContext, MultCounter
 
 # An affine point (x, y); None is the point at infinity.
 CurvePoint = Optional[tuple[int, int]]
+
+
+class SingularCurve(ValueError):
+    """4A^3 + 27B^2 == 0."""
+
+
+class NotANonResidue(ValueError):
+    """Twist parameter is a square (or zero)."""
+
+
+def j_invariant(ctx: FpContext, E: WeierstrassCurve) -> int:
+    p = ctx.p
+    a3 = 4 * pow(E.A, 3, p) % p
+    disc = (a3 + 27 * E.B * E.B) % p
+    if disc == 0:
+        raise SingularCurve("singular curve has no j-invariant")
+    return 1728 * a3 % p * ctx.inv(disc) % p
+
+
+def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> WeierstrassCurve:
+    """The twist y^2 = x^3 + alpha^-2 A x + alpha^-3 B."""
+    if ctx.euler_criterion(alpha, MultCounter()) != -1:
+        raise NotANonResidue(f"{alpha} is not a quadratic nonresidue mod {ctx.p}")
+    ai = ctx.inv(alpha)
+    ai2 = ai * ai % ctx.p
+    return WeierstrassCurve(ai2 * E.A % ctx.p, ai2 * ai % ctx.p * E.B % ctx.p)
 
 
 def point_neg(ctx: FpContext, P: CurvePoint) -> CurvePoint:

@@ -20,7 +20,7 @@ from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
 import psiref
-from conftest import get_lab, record_criterion
+from conftest import g_zero_fraction, get_lab, grover_success, record_criterion
 from psiref import Ambient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -37,7 +37,7 @@ def test_criterion_01_twist_identity():
     checked = 0
     for p in (101, 499, 1009):
         lab = get_lab(p)
-        twists = [curves.quadratic_twist(lab.ctx, E, lab.nr.alpha2)
+        twists = [grouplaw.quadratic_twist(lab.ctx, E, lab.nr.alpha2)
                   for E in lab.curves]
         tcards = curves.count_points_batch(
             lab.ctx,
@@ -221,7 +221,7 @@ def test_criterion_06_corollary_rate():
     lab = get_lab(p)
     structs = [curves.group_structure(lab.ctx, E, int(n))
                for E, n in zip(lab.curves, lab.cards)]
-    twists = [curves.quadratic_twist(lab.ctx, E, lab.nr.alpha2)
+    twists = [grouplaw.quadratic_twist(lab.ctx, E, lab.nr.alpha2)
               for E in lab.curves]
     tstructs = [curves.group_structure(lab.ctx, T, 2 * p + 2 - int(n))
                 for T, n in zip(twists, lab.cards)]
@@ -241,7 +241,7 @@ def test_criterion_06_corollary_rate():
             g_e = math.gcd(sigma, m) * math.gcd(sigma, m * k)
             g_t = math.gcd(sp, mt) * math.gcd(sp, mt * kt)
             predicted = (g_e + g_t - 2) / (2 * p)
-            measured = forgery.g_zero_fraction(lab.ctx, E, s)
+            measured = g_zero_fraction(lab.ctx, E, s)
             checked += 1
             worst = max(worst, measured)
             if abs(measured - predicted) > 1e-12:
@@ -338,7 +338,7 @@ def test_criterion_09_grover_fidelity():
         plan = grover.plan_iterations(lab.ctx, s, h=m)
         marked = forgery.batch_marked(lab.ctx, lab.A, lab.B, s, cfg)
         res = grover.run_search(lab.ctx, s, plan, marked, seed=0)
-        closed = grover.grover_success(len(lab.classes), m, plan.iterations)
+        closed = grover_success(len(lab.classes), m, plan.iterations)
         worst_dev = max(worst_dev, abs(res.success_probability - closed))
         worst_cond = max(worst_cond, float(
             np.abs(res.conditional_distribution - 1.0 / m).max()))

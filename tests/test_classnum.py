@@ -7,16 +7,15 @@ from twistforge import classnum
 
 def test_discriminant_validation():
     with pytest.raises(ValueError):
-        classnum.Discriminant(5, False, False)
+        classnum.Discriminant(5, False)
     with pytest.raises(ValueError):
-        classnum.Discriminant(-5, False, False)  # -5 = 3 mod 4
+        classnum.Discriminant(-5, False)  # -5 = 3 mod 4
     classnum.make_discriminant(-7)
     classnum.make_discriminant(-8)
 
 
 def test_make_discriminant_flags():
     assert classnum.make_discriminant(-7).is_fundamental
-    assert classnum.make_discriminant(-7).is_squarefree
     assert not classnum.make_discriminant(-27).is_fundamental  # -27 = 1 mod 4? no: -27 % 4 = 1
     assert classnum.make_discriminant(-4).is_fundamental   # q = 1
     assert classnum.make_discriminant(-8).is_fundamental   # q = 2

@@ -2,10 +2,11 @@
 
 Each case runs in process through cli.dispatch; its exit code and the
 sha256 of its stdout must match tests/golden/cli_stdout.json, keyed by the
-argv.  Only integer-valued outputs are guarded: float fields whose bits
-depend on numpy or libm (forge-sim's success_probability, fp-experiment's
-bound) are left out.  To regenerate the golden file after an intended
-output change, run `PYTHONPATH=src python tests/test_cli_stdout.py`.
+argv.  Float fields are printed with repr, so some pins (forge-sim's
+success_probability, fp-experiment's bound, the estimate and bounds
+columns) hold for the numpy and libm they were made with.  To regenerate
+the golden file after an intended output change, run
+`PYTHONPATH=src python tests/test_cli_stdout.py`.
 """
 
 import contextlib
@@ -34,6 +35,21 @@ CASES = [
       for sigma, j, b in (("103", "16", "1"), ("103", "99", "0"), ("101", "16", "0"),
                           ("103", "16", "0"), ("103", "1", "0"), ("101", "99", "0"))),
     ["audit", "--p", "101", "--sigma", "103"],
+    *(["forge-sim", "--p", p, "--sigma", sigma, *flag]
+      for p, sigma, flag in (("101", "103", []), ("499", "480", []),
+                             ("1009", "1012", ["--seed", "3"]),
+                             ("101", "110", ["--mode", "paper_sum"]))),
+    ["estimate", "--bits", "128"],
+    ["estimate", "--bits", "256"],
+    ["estimate", "--p", "1009"],
+    ["--output", "csv", "estimate", "--bits", "512"],
+    ["bounds", "--p", "101"],
+    ["bounds", "--p", "100003"],
+    ["classnum", "--p", "101", "--sigma", "107"],
+    ["classnum", "--p", "1009", "--sigma", "1000", "--no-exact"],
+    ["fp-experiment", "--p", "101", "--sigma", "103"],
+    ["fp-experiment", "--p", "1009", "--sigma", "1000", "--trials", "200", "--seed", "4",
+     "--mode", "paper_sum"],
 ]
 
 

@@ -5,10 +5,7 @@ import os
 import pytest
 
 from twistforge import estimator
-from twistforge.estimator import (
-    ORACLE_MULTS_CONST, QUBITS_CONST, REPORT_FIELDS, compare_attacks, estimate,
-    report_row,
-)
+from twistforge.estimator import ORACLE_MULTS_CONST, QUBITS_CONST, estimate, report_row
 from twistforge.forgery import OracleConfig, SerialNumber
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -75,7 +72,8 @@ def test_report_row_schema_and_golden():
         golden = json.load(fh)
     rows = [report_row(estimate(bits=n)) for n in (128, 256, 512)]
     for row in rows:
-        assert list(row.keys()) == REPORT_FIELDS
+        assert list(row) == ["bits", "mults_ours", "mults_bf", "qubits_ours", "qubits_bf",
+                             "iter_lo", "iter_hi", "total_lo", "total_hi"]
         int(row["mults_ours"])  # decimal strings
     assert rows == golden
 
@@ -102,17 +100,3 @@ def test_audit_seeded_determinism(lab101):
     a = estimator.audit(lab101.ctx, s, cfg, sample_size=3, seed=9)
     b = estimator.audit(lab101.ctx, s, cfg, sample_size=3, seed=9)
     assert a == b
-
-
-def test_compare_attacks_identities():
-    cmp_ = compare_attacks(101, 3.0)
-    assert cmp_.walk_iterations == pytest.approx(math.sqrt(3))
-    assert cmp_.ours_iterations == pytest.approx(math.sqrt(202 / 3))
-    assert cmp_.iteration_ratio == pytest.approx(math.sqrt(9 / 202))
-    assert cmp_.iteration_ratio == pytest.approx(
-        cmp_.walk_iterations / cmp_.ours_iterations)
-    assert cmp_.walk_total == pytest.approx(cmp_.t1_oracle * cmp_.walk_iterations)
-    assert cmp_.ours_total == pytest.approx(cmp_.t2_oracle * cmp_.ours_iterations)
-    assert cmp_.t1_oracle == pytest.approx(101.0**2 * math.log2(101))
-    with pytest.raises(ValueError):
-        compare_attacks(101, 0)

