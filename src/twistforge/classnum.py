@@ -136,7 +136,7 @@ def iteration_bounds(p: float, bits: float | None = None) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class ClassNumberReport:
-    d: Discriminant
+    frobenius: FrobeniusResult
     h: int | None
     tatuzawa_lower: float
     tatuzawa_valid: bool
@@ -153,7 +153,7 @@ def class_number_report(p: int, sigma: int, with_exact: bool = True) -> ClassNum
         h = exact_class_number(fr.disc)
     lo, hi = iteration_bounds(p)
     return ClassNumberReport(
-        d=fr.disc,
+        frobenius=fr,
         h=h,
         tatuzawa_lower=tatuzawa_lower_bound(p),
         tatuzawa_valid=tatuzawa_valid(p, fr.delta),

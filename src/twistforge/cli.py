@@ -167,15 +167,15 @@ def cmd_forge_sim(args) -> list[dict]:
 def cmd_classnum(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     s = _serial(ctx, args.sigma)
-    fr = classnum.frobenius_discriminant(ctx.p, s.sigma)
     rep = classnum.class_number_report(ctx.p, s.sigma, with_exact=not args.no_exact)
+    fr = rep.frobenius
     return [{
         "p": str(ctx.p),
         "sigma": str(s.sigma),
-        "d": str(rep.d.d),
+        "d": str(fr.disc.d),
         "delta": str(fr.delta),
         "accepted": str(int(fr.accepted)),
-        "is_fundamental": str(int(rep.d.is_fundamental)),
+        "is_fundamental": str(int(fr.disc.is_fundamental)),
         "h": str(rep.h) if rep.h is not None else "",
         "tatuzawa_lower": repr(rep.tatuzawa_lower),
         "tatuzawa_valid": str(int(rep.tatuzawa_valid)),
@@ -198,12 +198,27 @@ def cmd_bounds(args) -> list[dict]:
     }]
 
 
+def report_row(r: estimator.ResourceReport) -> dict[str, str]:
+    """estimate's row; integer entries as decimal strings."""
+    return {
+        "bits": str(r.p_bits),
+        "mults_ours": str(r.oracle_mults_ours),
+        "mults_bf": str(r.oracle_mults_bruteforce),
+        "qubits_ours": str(r.qubits_ours),
+        "qubits_bf": str(r.qubits_bruteforce),
+        "iter_lo": repr(r.iterations_lower),
+        "iter_hi": repr(r.iterations_upper),
+        "total_lo": repr(r.total_lower),
+        "total_hi": repr(r.total_upper),
+    }
+
+
 def cmd_estimate(args) -> list[dict]:
     try:
         report = estimator.estimate(bits=args.bits, p=args.p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return [estimator.report_row(report)]
+    return [report_row(report)]
 
 
 def cmd_audit(args) -> list[dict]:

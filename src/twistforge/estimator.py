@@ -2,9 +2,9 @@
 versus measured multiplication counts.
 
 Conventions: n = ceil(log2 p) everywhere a bit size appears; the brute-force
-columns (mults_bf, qubits_bf) print their asymptotic forms with constant 1
-and are labeled as a convention, not a claim.  They are the table's only
-comparison with another attack.
+entries (n^6 mults, n^3 qubits) are their asymptotic forms with constant 1,
+as exact integers, and are labeled as a convention, not a claim.  They are
+the table's only comparison with another attack.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ TOTAL_UPPER_CONST = 8264
 @dataclass(frozen=True)
 class ResourceReport:
     p_bits: int
-    oracle_mults_ours: float  # < 1944 n^2
-    oracle_mults_bruteforce: float  # n^6, constant-1 convention
-    qubits_ours: float  # 12 n^2
-    qubits_bruteforce: float  # n^3 convention
+    oracle_mults_ours: int  # < 1944 n^2
+    oracle_mults_bruteforce: int  # n^6, constant-1 convention
+    qubits_ours: int  # 12 n^2
+    qubits_bruteforce: int  # n^3 convention
     iterations_lower: float
     iterations_upper: float
     total_lower: float
@@ -63,29 +63,14 @@ def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
     return ResourceReport(
         p_bits=n,
         oracle_mults_ours=ORACLE_MULTS_CONST * n**2,
-        oracle_mults_bruteforce=float(n**6),
+        oracle_mults_bruteforce=n**6,
         qubits_ours=QUBITS_CONST * n**2,
-        qubits_bruteforce=float(n**3),
+        qubits_bruteforce=n**3,
         iterations_lower=it_lo,
         iterations_upper=it_hi,
         total_lower=total_lo,
         total_upper=total_hi,
     )
-
-
-def report_row(r: ResourceReport) -> dict[str, str]:
-    """CSV/JSON row; integer-valued entries as decimal strings."""
-    return {
-        "bits": str(r.p_bits),
-        "mults_ours": str(int(r.oracle_mults_ours)),
-        "mults_bf": str(int(r.oracle_mults_bruteforce)),
-        "qubits_ours": str(int(r.qubits_ours)),
-        "qubits_bf": str(int(r.qubits_bruteforce)),
-        "iter_lo": repr(r.iterations_lower),
-        "iter_hi": repr(r.iterations_upper),
-        "total_lo": repr(r.total_lower),
-        "total_hi": repr(r.total_upper),
-    }
 
 
 @dataclass
@@ -104,26 +89,22 @@ def audit(
     cfg: OracleConfig,
     sample_size: int = 5,
     seed: int = 0,
-    target_class: curves.CurveClass | None = None,
 ) -> list[AuditRow]:
     """Measured multiplications per oracle call against the 1944 n^2 ceiling.
 
     The strict_or oracle short-circuits on non-targets, so a target class
     (which scans all tau offsets) is the honest worst case.  audit does not
-    search for one: target_class, when given, is measured first, then
-    sample_size classes drawn uniformly with the seed.  The CLI passes no
-    target_class, so its rows are random draws only.
+    search for one: its rows are sample_size classes drawn uniformly with
+    the seed.
     """
     n = (ctx.p - 1).bit_length()  # ceil(log2 p)
     ceiling = ORACLE_MULTS_CONST * n * n
     nr = NonResidueTable.for_prime(ctx)
     count = curves.class_count(ctx)
     rng = random.Random(seed)
-    picks = [curves.class_at(ctx, rng.randrange(count)) for _ in range(sample_size)]
     rows = []
-    if target_class is not None:
-        picks.insert(0, target_class)
-    for c in picks:
+    for _ in range(sample_size):
+        c = curves.class_at(ctx, rng.randrange(count))
         ctr = MultCounter()
         bit = forgery.oracle_predicate(ctx, c, s, cfg, nr, ctr)
         rows.append(AuditRow(c.j, c.b, bool(bit), ctr.count, ceiling,

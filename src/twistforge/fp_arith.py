@@ -22,10 +22,8 @@ class MultCounter:
 
     __slots__ = ("count",)
 
-    def __init__(self, count: int = 0):
-        if count < 0:
-            raise ValueError("negative count")
-        self.count = count
+    def __init__(self):
+        self.count = 0
 
     def tick(self, n: int = 1) -> None:
         self.count += n

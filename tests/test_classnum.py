@@ -106,7 +106,8 @@ def test_iteration_bounds_shape():
 def test_report_roundtrip():
     rep = classnum.class_number_report(101, 107)
     assert rep.h == 3
-    assert rep.d.d == -379
+    assert rep.frobenius == classnum.frobenius_discriminant(101, 107)
+    assert rep.frobenius.disc.d == -379
     assert not rep.tatuzawa_valid
     assert rep.iteration_lower < math.sqrt(2 * 101 / rep.h) < rep.iteration_upper
     rep2 = classnum.class_number_report(101, 107, with_exact=False)

@@ -4,9 +4,12 @@ import os
 
 import pytest
 
-from twistforge import estimator
-from twistforge.estimator import ORACLE_MULTS_CONST, QUBITS_CONST, estimate, report_row
+from twistforge import estimator, forgery
+from twistforge.cli import report_row
+from twistforge.curves import NonResidueTable
+from twistforge.estimator import ORACLE_MULTS_CONST, QUBITS_CONST, estimate
 from twistforge.forgery import OracleConfig, SerialNumber
+from twistforge.fp_arith import MultCounter
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -78,20 +81,28 @@ def test_report_row_schema_and_golden():
     assert rows == golden
 
 
+def test_mults_bf_is_exact():
+    """n^6 exceeds 2^53 from n = 457 on, so only an int column prints it."""
+    for n in range(8, 1022):
+        assert report_row(estimate(bits=n))["mults_bf"] == str(n**6)
+
+
 def test_audit_under_ceiling(lab101):
     s = SerialNumber(103, 101)
     cfg = OracleConfig.for_prime(101)
     target = next(c for c, n in zip(lab101.classes, lab101.cards) if n == 103)
-    rows = estimator.audit(lab101.ctx, s, cfg, sample_size=4, seed=0,
-                           target_class=target)
-    assert len(rows) == 5
-    assert rows[0].is_target  # the inserted known target scans all tau offsets
+    ctr = MultCounter()  # the known target scans all tau offsets
+    assert forgery.oracle_predicate(lab101.ctx, target, s, cfg,
+                                    NonResidueTable.for_prime(lab101.ctx), ctr) == 1
+    rows = estimator.audit(lab101.ctx, s, cfg, sample_size=4, seed=0)
+    assert len(rows) == 4
+    assert ctr.count <= 1944 * 49  # n = 7 bits
     for r in rows:
         assert r.measured_mults <= r.predicted_ceiling
-        assert r.predicted_ceiling == 1944 * 49  # n = 7 bits
+        assert r.predicted_ceiling == 1944 * 49
         assert r.ratio == r.measured_mults / r.predicted_ceiling
-    # the full-tau target is the worst case among the sampled calls
-    assert rows[0].measured_mults == max(r.measured_mults for r in rows)
+        # the full-tau target is the worst case among the sampled calls
+        assert r.measured_mults <= ctr.count
 
 
 def test_audit_seeded_determinism(lab101):

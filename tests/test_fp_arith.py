@@ -111,5 +111,3 @@ def test_counter_basics():
     c.tick(4)
     assert c.count == 5
     assert repr(c) == "MultCounter(5)"
-    with pytest.raises(ValueError):
-        MultCounter(-1)

@@ -16,16 +16,19 @@ def _trees(folder):
 
 
 def _names(node, bench=False):
-    """Names, attributes and keyword arguments read under node; for bench/,
-    also those written, and strings that are dotted names (spans.py's
-    targets)."""
+    """Names and attributes read under node; for bench/, also those written,
+    keyword arguments, and strings that are dotted names (spans.py's
+    targets).  In src/ a keyword argument is a write: building a dataclass
+    with marked=idx does not read its field marked."""
     for n in ast.walk(node):
         if not bench and isinstance(getattr(n, "ctx", None), (ast.Store, ast.Del)):
             continue
         if isinstance(n, ast.Name):
             yield n.id
-        elif isinstance(n, (ast.Attribute, ast.keyword)):
-            yield n.attr if isinstance(n, ast.Attribute) else n.arg
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif bench and isinstance(n, ast.keyword):
+            yield n.arg
         elif bench and isinstance(n, ast.Constant) and isinstance(n.value, str) \
                 and re.fullmatch(r"[\w.]+", n.value):
             yield from n.value.split(".")
