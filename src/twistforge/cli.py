@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import classnum, curves, estimator, forgery, scheme
 from .curves import CurveClass
-from .fp_arith import FpContext, MAX_PRIME, is_prime
+from .fp_arith import FpContext
 from .forgery import InvalidSerial, OracleConfig, SerialNumber
 
 CACHE_ENV = "TWISTFORGE_CACHE"
@@ -29,9 +29,10 @@ class UsageError(ValueError):
 
 
 def _parse_prime(value: int) -> FpContext:
-    if not (5 <= value < MAX_PRIME) or not is_prime(value):
-        raise UsageError(f"p must be a prime in [5, 2^31), got {value}")
-    return FpContext(value)
+    try:
+        return FpContext(value)
+    except ValueError:
+        raise UsageError(f"p must be a prime in [5, 2^31), got {value}") from None
 
 
 def _serial(ctx: FpContext, sigma: int) -> SerialNumber:

@@ -28,9 +28,6 @@ class MultCounter:
     def tick(self, n: int = 1) -> None:
         self.count += n
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultCounter) and self.count == other.count
-
     def __repr__(self) -> str:
         return f"MultCounter({self.count})"
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import classnum, curves, forgery, grover
-from .curves import CurveClass, CurveTableRow, NonResidueTable, WeierstrassCurve
+from .curves import CurveClass, NonResidueTable, WeierstrassCurve
 from .fp_arith import FpContext, MultCounter
 from .forgery import OracleConfig, SerialNumber
 
@@ -29,44 +29,25 @@ class Banknote:
     support: tuple[CurveClass, ...]
 
 
-def mint(
-    ctx: FpContext,
-    seed: int,
-    table: list[CurveTableRow] | None = None,
-) -> Banknote:
+def mint(ctx: FpContext, seed: int) -> Banknote:
     """Sample classes until the Frobenius-discriminant predicate accepts.
 
-    Without a table only the drawn classes are counted, O(p) each, and the
-    support is forgery.fiber, the strict_or sweep's marked set with each
-    member confirmed by an exact count.  A table supplies the cardinalities
-    instead.
+    Only the drawn classes are counted, O(p) each.  The support is
+    forgery.fiber: the strict_or sweep's marked set, each member confirmed
+    by an exact count.
     """
     p = ctx.p
-    if table is None:
-        j, b, A, B = curves.class_pairs(ctx, NonResidueTable.for_prime(ctx))
-        n_classes = j.size
-
-        def card(i: int) -> int:
-            return curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i])))
-
-        def support(sigma: int) -> list[CurveClass]:
-            idx = forgery.fiber(ctx, A, B, SerialNumber(sigma, p))
-            return list(map(CurveClass, j[idx].tolist(), b[idx].tolist()))
-    else:
-        classes = [CurveClass(r.j, r.b) for r in table]
-        cards = [r.cardinality for r in table]
-        card = cards.__getitem__
-        n_classes = len(table)
-
-        def support(sigma: int) -> list[CurveClass]:
-            return [c for c, n in zip(classes, cards) if n == sigma]
+    j, b, A, B = curves.class_pairs(ctx, NonResidueTable.for_prime(ctx))
     rng = random.Random(seed)
-    for _ in range(10 * n_classes):
-        sigma = card(rng.randrange(n_classes))
+    for _ in range(10 * j.size):
+        i = rng.randrange(j.size)
+        sigma = curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i])))
         if sigma == p + 1:
             continue
         if classnum.frobenius_discriminant(p, sigma).accepted:
-            return Banknote(p, SerialNumber(sigma, p), tuple(support(sigma)))
+            s = SerialNumber(sigma, p)
+            idx = forgery.fiber(ctx, A, B, s)
+            return Banknote(p, s, tuple(map(CurveClass, j[idx].tolist(), b[idx].tolist())))
     raise Exhausted(f"no acceptable sigma over F_{p} within the draw cap")
 
 

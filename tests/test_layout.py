@@ -1,6 +1,8 @@
 """src/ is only the program: every name it defines is read by src/ itself
-or by bench/.  A name that only tests read is a reference, and lives in
-tests/ (grouplaw.py, psiref.py, conftest.py), or it is dead code."""
+or by bench/, and every parameter default it declares is overridden by
+some call in src/ or bench/.  A name that only tests read is a reference,
+and lives in tests/ (grouplaw.py, psiref.py, conftest.py), or it is dead
+code; so is an option that only tests pass."""
 
 import ast
 import pathlib
@@ -51,11 +53,61 @@ def _definitions(tree):
                 yield item.target.id, item
 
 
+def _attributes(node):
+    """Attributes read under node: obj.field, never a bare name."""
+    return (n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def test_src_defines_no_name_that_only_tests_read():
+    """An annotated class field is read in src/ only as obj.field: a local
+    variable of the same name does not read it."""
     src = _trees("src/twistforge")
     loads = Counter(name for tree in src for name in _names(tree))
+    attributes = Counter(name for tree in src for name in _attributes(tree))
     bench = {name for tree in _trees("bench") for name in _names(tree, bench=True)}
     unread = sorted(name for tree in src for name, node in _definitions(tree)
                     if name not in EXEMPT | bench
-                    and loads[name] == Counter(_names(node))[name])
+                    and ((attributes if isinstance(node, ast.AnnAssign) else loads)[name]
+                         == Counter(_names(node))[name]))
     assert not unread, f"read only outside src/ and bench/: {unread}"
+
+
+def _defaults(tree):
+    """(function name, parameter, position or None) of every parameter with
+    a default; a method's position counts self or cls."""
+    methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a, shift = fn.args, -1 if fn in methods else 0
+        positional = a.posonlyargs + a.args
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            yield fn.name, positional[i].arg, i + shift
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def _passes(call, fn, param, position):
+    """Whether call is a call of fn that passes param: by keyword, by
+    position, or through *args or **kwargs, which pass everything."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != fn:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_src_declares_no_default_that_only_tests_override():
+    """A parameter with a default is an option; if no call in src/ or bench/
+    passes it, only tests take the other branch."""
+    calls = [n for tree in _trees("src/twistforge") + _trees("bench")
+             for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unpassed = sorted({f"{fn}({param})" for tree in _trees("src/twistforge")
+                       for fn, param, position in _defaults(tree)
+                       if not any(_passes(c, fn, param, position) for c in calls)})
+    assert not unpassed, f"defaults that no call in src/ or bench/ overrides: {unpassed}"
