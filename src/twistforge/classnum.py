@@ -18,37 +18,22 @@ MAX_ABS_D = 10**7
 TATUZAWA_MIN_ABS_D = math.exp(11.2)
 
 
-class OutOfRange(ValueError):
-    """|d| beyond the desk-scale cap."""
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    d: int
-    is_fundamental: bool
-
-    def __post_init__(self):
-        if self.d >= 0 or self.d % 4 not in (0, 1):
-            raise ValueError(f"{self.d} is not a negative discriminant")
-
-
 def _squarefree(n: int) -> bool:
     return all(e == 1 for e in _factorize(n).values())
 
 
-def make_discriminant(d: int) -> Discriminant:
+def is_fundamental(d: int) -> bool:
+    """Whether the negative discriminant d is fundamental."""
     if d % 4 == 1:
-        fundamental = _squarefree(-d)
-    else:
-        q = -d // 4
-        fundamental = _squarefree(q) and q % 4 in (1, 2)  # -4q fundamental iff q = 1, 2 mod 4
-    return Discriminant(d, fundamental)
+        return _squarefree(-d)
+    q = -d // 4
+    return _squarefree(q) and q % 4 in (1, 2)  # -4q fundamental iff q = 1, 2 mod 4
 
 
 @dataclass(frozen=True)
 class FrobeniusResult:
-    disc: Discriminant
     delta: int  # Delta_Fr = 4p - t^2 = |d|
+    is_fundamental: bool  # of d = -delta
     accepted: bool  # the scheme's predicate: square-free and Delta > 3p
 
 
@@ -58,25 +43,26 @@ def frobenius_discriminant(p: int, sigma: int) -> FrobeniusResult:
     if t * t > 4 * p:
         raise ValueError("sigma outside the Hasse band")
     delta = 4 * p - t * t
-    disc = make_discriminant(-delta)
+    fundamental = is_fundamental(-delta)
     # Delta square-free without factoring it again: d = t^2 is 0 or 1 mod 4;
     # at 0, 4 | Delta, and at 1, d fundamental means Delta square-free
-    accepted = disc.d % 4 == 1 and disc.is_fundamental and delta > 3 * p
-    return FrobeniusResult(disc, delta, accepted)
+    accepted = -delta % 4 == 1 and fundamental and delta > 3 * p
+    return FrobeniusResult(delta, fundamental, accepted)
 
 
-def exact_class_number(d: Discriminant | int) -> int:
+def exact_class_number(d: int) -> int:
     """Count of reduced primitive forms (a, b, c) of discriminant d:
     b^2 - 4ac = d, |b| <= a <= c, b >= 0 when |b| = a or a = c, gcd = 1."""
-    dv = d.d if isinstance(d, Discriminant) else d
-    if dv >= -4:
-        raise OutOfRange("requires d < -4")
-    if -dv > MAX_ABS_D:
-        raise OutOfRange(f"|d| > {MAX_ABS_D} beyond desk scale")
+    if d >= -4:
+        raise ValueError("requires d < -4")
+    if -d > MAX_ABS_D:
+        raise ValueError(f"|d| > {MAX_ABS_D} beyond desk scale")
+    if d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a discriminant")
     h = 0
-    for a in range(1, math.isqrt(-dv // 3) + 1):
+    for a in range(1, math.isqrt(-d // 3) + 1):
         for b in range(-a + 1, a + 1):
-            num = b * b - dv
+            num = b * b - d
             if num % (4 * a):
                 continue
             c = num // (4 * a)
@@ -149,8 +135,8 @@ class ClassNumberReport:
 def class_number_report(p: int, sigma: int, with_exact: bool = True) -> ClassNumberReport:
     fr = frobenius_discriminant(p, sigma)
     h = None
-    if with_exact and fr.disc.d < -4 and fr.delta <= MAX_ABS_D:
-        h = exact_class_number(fr.disc)
+    if with_exact and 4 < fr.delta <= MAX_ABS_D:
+        h = exact_class_number(-fr.delta)
     lo, hi = iteration_bounds(p)
     return ClassNumberReport(
         frobenius=fr,

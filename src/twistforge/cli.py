@@ -131,7 +131,7 @@ def cmd_mint(args) -> list[dict]:
     except scheme.Exhausted as exc:
         raise UsageError(str(exc)) from exc
     return [{
-        "p": str(note.p),
+        "p": str(note.serial.p),
         "sigma": str(note.serial.sigma),
         "support": [{"j": str(c.j), "b": str(c.b)} for c in note.support],
     }]
@@ -173,10 +173,10 @@ def cmd_classnum(args) -> list[dict]:
     return [{
         "p": str(ctx.p),
         "sigma": str(s.sigma),
-        "d": str(fr.disc.d),
+        "d": str(-fr.delta),
         "delta": str(fr.delta),
         "accepted": str(int(fr.accepted)),
-        "is_fundamental": str(int(fr.disc.is_fundamental)),
+        "is_fundamental": str(int(fr.is_fundamental)),
         "h": str(rep.h) if rep.h is not None else "",
         "tatuzawa_lower": repr(rep.tatuzawa_lower),
         "tatuzawa_valid": str(int(rep.tatuzawa_valid)),

@@ -17,10 +17,6 @@ from .divpoly import BatchAmbient, _rem, _vec_pow, lane_dtype
 from .fp_arith import FpContext, MultCounter, _factorize
 
 
-class InvalidClass(ValueError):
-    """(j, b) outside the legal b-range."""
-
-
 @dataclass(frozen=True)
 class CurveClass:
     j: int
@@ -136,12 +132,12 @@ def get_weierstrass_pair(
     ctr = ctr if ctr is not None else MultCounter()
     j = c.j % p
     if not (0 <= c.b < b_range(ctx, j)):
-        raise InvalidClass(f"b={c.b} out of range for j={j} mod {p}")
+        raise ValueError(f"b={c.b} out of range for j={j} mod {p}")
     if j == 0:
         return WeierstrassCurve(0, ctx.pow(nr.alpha6, c.b, ctr))
     if j == 1728 % p:
         return WeierstrassCurve(ctx.pow(nr.alpha2, c.b, ctr), 0)
-    denom = ctx.inv((1728 - j) % p)
+    denom = pow(1728 - j, -1, p)
     a2b = ctx.pow(nr.alpha2, 2 * c.b, ctr)
     a3b = ctx.pow(nr.alpha2, 3 * c.b, ctr)
     A = 3 * j * a2b % p * denom % p

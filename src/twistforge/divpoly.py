@@ -27,10 +27,6 @@ if TYPE_CHECKING:
     from .curves import WeierstrassCurve
 
 
-class TwoTorsionAmbient(ArithmeticError):
-    """w = 0: the x is a two-torsion abscissa, division by 2y is impossible."""
-
-
 def psi_entry(m: int, k: int) -> tuple[bool, int, int]:
     """How psi_m is made from a run of consecutive psi values starting at
     psi_k: whether it is a g1 output (m odd) or a g2 output (m even), the
@@ -168,7 +164,7 @@ def eval_division_poly(
     ctr.tick(3)  # x^2, x^3 and A x, the products of w
     w = (x * x * x + E.A * x + E.B) % p
     if w == 0:
-        raise TwoTorsionAmbient(f"x={x} is a two-torsion abscissa on this curve")
+        raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     w2 = w * w % p
     bill = 12  # the products of psi_3 and psi_4
 

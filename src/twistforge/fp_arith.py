@@ -13,10 +13,6 @@ FieldElement = int
 MAX_PRIME = 2**31
 
 
-class ZeroInverse(ZeroDivisionError):
-    """Raised when inverting 0 in F_p."""
-
-
 class MultCounter:
     """Counter of F_p multiplications."""
 
@@ -64,12 +60,6 @@ class FpContext:
 
     def __repr__(self) -> str:
         return f"FpContext(p={self.p})"
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        # Inversions are outside the multiplication budget.
-        if a % self.p == 0:
-            raise ZeroInverse("0 has no inverse in F_p")
-        return pow(a, self.p - 2, self.p)
 
     def pow(self, a: FieldElement, e: int, ctr: MultCounter) -> FieldElement:
         """a**e billed as left-to-right square-and-multiply: one squaring per

@@ -18,10 +18,6 @@ from .fp_arith import FpContext
 from .forgery import SerialNumber
 
 
-class NoTarget(ValueError):
-    """The serial number marks no class at all."""
-
-
 @dataclass(frozen=True)
 class SearchPlan:
     N: int
@@ -39,7 +35,7 @@ def plan_iterations(ctx: FpContext, s: SerialNumber, h: int) -> SearchPlan:
     """The rounded Grover optimum over the full (j, b) class space for h
     marked classes."""
     if h == 0:
-        raise NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
+        raise ValueError(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     n = curves.class_count(ctx)
     return SearchPlan(n, optimal_iterations(n, h))
 
@@ -78,7 +74,7 @@ def run_search(
     if marked.size != curves.class_count(ctx):
         raise ValueError("marked mask size mismatch")
     if not marked.any():
-        raise NoTarget(f"sigma={s.sigma} marks no class over F_{ctx.p}")
+        raise ValueError(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     v = evolve(marked, plan.iterations)
     success = float((v[marked] ** 2).sum())
     rng = np.random.default_rng(np.uint64(seed))

@@ -24,7 +24,6 @@ class Exhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Banknote:
-    p: int
     serial: SerialNumber
     support: tuple[CurveClass, ...]
 
@@ -47,7 +46,7 @@ def mint(ctx: FpContext, seed: int) -> Banknote:
         if classnum.frobenius_discriminant(p, sigma).accepted:
             s = SerialNumber(sigma, p)
             idx = forgery.fiber(ctx, A, B, s)
-            return Banknote(p, s, tuple(map(CurveClass, j[idx].tolist(), b[idx].tolist())))
+            return Banknote(s, tuple(map(CurveClass, j[idx].tolist(), b[idx].tolist())))
     raise Exhausted(f"no acceptable sigma over F_{p} within the draw cap")
 
 
@@ -92,6 +91,6 @@ def forge(
     sample = result.sample_class
     passes = check_serial(ctx, sample, s, cfg, nr) == 1
     support = tuple(map(CurveClass, j[marked].tolist(), b[marked].tolist()))
-    note = Banknote(ctx.p, s, support)
+    note = Banknote(s, support)
     return ForgeResult(note, result.success_probability, plan.iterations,
                        sample, passes)

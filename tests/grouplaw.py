@@ -31,14 +31,14 @@ def j_invariant(ctx: FpContext, E: WeierstrassCurve) -> int:
     disc = (a3 + 27 * E.B * E.B) % p
     if disc == 0:
         raise SingularCurve("singular curve has no j-invariant")
-    return 1728 * a3 % p * ctx.inv(disc) % p
+    return 1728 * a3 % p * pow(disc, -1, p) % p
 
 
 def quadratic_twist(ctx: FpContext, E: WeierstrassCurve, alpha: int) -> WeierstrassCurve:
     """The twist y^2 = x^3 + alpha^-2 A x + alpha^-3 B."""
     if ctx.euler_criterion(alpha, MultCounter()) != -1:
         raise NotANonResidue(f"{alpha} is not a quadratic nonresidue mod {ctx.p}")
-    ai = ctx.inv(alpha)
+    ai = pow(alpha, -1, ctx.p)
     ai2 = ai * ai % ctx.p
     return WeierstrassCurve(ai2 * E.A % ctx.p, ai2 * ai % ctx.p * E.B % ctx.p)
 
@@ -60,9 +60,9 @@ def point_add(ctx: FpContext, P: CurvePoint, Q: CurvePoint, E: WeierstrassCurve)
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + E.A) * ctx.inv(2 * y1) % p
+        lam = (3 * x1 * x1 + E.A) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * ctx.inv((x2 - x1) % p) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)

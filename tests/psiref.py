@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import TwoTorsionAmbient, _psi3_psi4, psi_entry
+from twistforge.divpoly import _psi3_psi4, psi_entry
 from twistforge.fp_arith import FpContext, MultCounter
 
 
@@ -68,8 +68,8 @@ class Ambient:
     def inv2w(self) -> int:
         if self._inv2w is None:
             if self.w == 0:
-                raise TwoTorsionAmbient(f"x={self.x} is a two-torsion abscissa")
-            self._inv2w = self.ctx.inv(2 * self.w)
+                raise ValueError(f"x={self.x} is a two-torsion abscissa")
+            self._inv2w = pow(2 * self.w, -1, self.ctx.p)
         return self._inv2w
 
     def mul(self, u: TwistedValue, v: TwistedValue) -> TwistedValue:
@@ -158,5 +158,5 @@ def eval_division_poly_direct(
         raise ValueError("ell must be >= 1")
     amb = Ambient(ctx, E, x, ctr)
     if amb.w == 0:
-        raise TwoTorsionAmbient(f"x={x} is a two-torsion abscissa on this curve")
+        raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     return psi_sequence(amb, ell)[ell + 1]

@@ -274,7 +274,7 @@ def test_criterion_07_class_number_equivalence():
             if not fr.accepted:
                 continue
             checked += 1
-            h = classnum.exact_class_number(fr.disc)
+            h = classnum.exact_class_number(-fr.delta)
             count = int((lab.cards == sigma).sum())
             if h != count:
                 mismatches.append((p, sigma, h, count))
@@ -300,7 +300,7 @@ def test_criterion_08_bound_sandwich():
             accepted = accepted[::12]  # subsample the big prime for speed
         for sigma in accepted:
             fr = classnum.frobenius_discriminant(p, sigma)
-            h = classnum.exact_class_number(fr.disc)
+            h = classnum.exact_class_number(-fr.delta)
             if classnum.tatuzawa_valid(p, fr.delta):
                 tatuzawa_cases += 1
                 if not tl < h:

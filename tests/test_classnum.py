@@ -6,21 +6,21 @@ from twistforge import classnum
 
 
 def test_discriminant_validation():
-    with pytest.raises(ValueError):
-        classnum.Discriminant(5, False)
-    with pytest.raises(ValueError):
-        classnum.Discriminant(-5, False)  # -5 = 3 mod 4
-    classnum.make_discriminant(-7)
-    classnum.make_discriminant(-8)
+    # 5 is 1 mod 4 but positive; -5 is 3 mod 4 and -6 is 2 mod 4
+    with pytest.raises(ValueError, match="requires d < -4"):
+        classnum.exact_class_number(5)
+    for d in (-5, -6):
+        with pytest.raises(ValueError, match=f"{d} is not a discriminant"):
+            classnum.exact_class_number(d)
 
 
-def test_make_discriminant_flags():
-    assert classnum.make_discriminant(-7).is_fundamental
-    assert not classnum.make_discriminant(-27).is_fundamental  # -27 = 1 mod 4? no: -27 % 4 = 1
-    assert classnum.make_discriminant(-4).is_fundamental   # q = 1
-    assert classnum.make_discriminant(-8).is_fundamental   # q = 2
-    assert not classnum.make_discriminant(-16).is_fundamental  # q = 4 not squarefree
-    assert not classnum.make_discriminant(-12).is_fundamental  # q = 3 = 3 mod 4
+def test_is_fundamental():
+    assert classnum.is_fundamental(-7)
+    assert not classnum.is_fundamental(-27)  # -27 = 1 mod 4, 27 not squarefree
+    assert classnum.is_fundamental(-4)   # q = 1
+    assert classnum.is_fundamental(-8)   # q = 2
+    assert not classnum.is_fundamental(-16)  # q = 4 not squarefree
+    assert not classnum.is_fundamental(-12)  # q = 3 = 3 mod 4
 
 
 def test_exact_class_number_hand_values():
@@ -32,16 +32,16 @@ def test_exact_class_number_hand_values():
 
 
 def test_exact_class_number_range_checks():
-    with pytest.raises(classnum.OutOfRange):
+    with pytest.raises(ValueError, match="requires d < -4"):
         classnum.exact_class_number(-4)
-    with pytest.raises(classnum.OutOfRange):
+    with pytest.raises(ValueError, match=r"\|d\| > 10000000 beyond desk scale"):
         classnum.exact_class_number(-(10**7 + 9))
 
 
 def test_frobenius_discriminant():
     fr = classnum.frobenius_discriminant(101, 107)  # t = 5
     assert fr.delta == 4 * 101 - 25 == 379
-    assert fr.disc.d == -379
+    assert fr.is_fundamental
     assert fr.accepted  # 379 squarefree and > 303
     fr2 = classnum.frobenius_discriminant(101, 121)  # t = 19, delta = 43 < 3p
     assert not fr2.accepted
@@ -107,8 +107,20 @@ def test_report_roundtrip():
     rep = classnum.class_number_report(101, 107)
     assert rep.h == 3
     assert rep.frobenius == classnum.frobenius_discriminant(101, 107)
-    assert rep.frobenius.disc.d == -379
+    assert rep.frobenius.delta == 379
     assert not rep.tatuzawa_valid
     assert rep.iteration_lower < math.sqrt(2 * 101 / rep.h) < rep.iteration_upper
     rep2 = classnum.class_number_report(101, 107, with_exact=False)
     assert rep2.h is None
+
+
+def test_report_class_number_cap_edges():
+    """h is exact for 4 < Delta <= MAX_ABS_D and None outside it."""
+    p = 2500009
+    assert classnum.frobenius_discriminant(p, 2500016).delta == classnum.MAX_ABS_D
+    assert classnum.class_number_report(p, 2500016).h == 1000
+    assert classnum.frobenius_discriminant(p, 2500015).delta == classnum.MAX_ABS_D + 11
+    assert classnum.class_number_report(p, 2500015).h is None
+    for p, sigma, delta in ((7, 3, 3), (5, 2, 4)):
+        assert classnum.frobenius_discriminant(p, sigma).delta == delta
+        assert classnum.class_number_report(p, sigma).h is None

@@ -50,6 +50,16 @@ CASES = [
     ["fp-experiment", "--p", "101", "--sigma", "103"],
     ["fp-experiment", "--p", "1009", "--sigma", "1000", "--trials", "200", "--seed", "4",
      "--mode", "paper_sum"],
+    # the CSV column order of every other command; classnum at p = 5, sigma = 2
+    # has Delta = 4, below the exact class number's range, so its h cell is empty
+    *(["--output", "csv", *argv] for argv in (
+        ["check-serial", "--p", "101", "--sigma", "103", "--j", "16", "--b", "1"],
+        ["forge-sim", "--p", "101", "--sigma", "103"],
+        ["classnum", "--p", "101", "--sigma", "107"],
+        ["classnum", "--p", "5", "--sigma", "2"],
+        ["bounds", "--p", "101"],
+        ["audit", "--p", "101", "--sigma", "103"],
+        ["fp-experiment", "--p", "101", "--sigma", "103"])),
 ]
 
 

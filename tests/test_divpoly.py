@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import TwoTorsionAmbient, _coef_g1, _coef_g2, _rem
+from twistforge.divpoly import _coef_g1, _coef_g2, _rem
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -71,11 +71,11 @@ def test_two_torsion_ambient():
     E = WeierstrassCurve(100, 0)
     amb = Ambient(ctx, E, 1, MultCounter())
     assert amb.w == 0
-    with pytest.raises(TwoTorsionAmbient):
+    with pytest.raises(ValueError, match="is a two-torsion abscissa"):
         amb.inv2w
-    with pytest.raises(TwoTorsionAmbient):
+    with pytest.raises(ValueError, match="is a two-torsion abscissa"):
         divpoly.eval_division_poly(ctx, E, 1, 7, MultCounter())
-    with pytest.raises(TwoTorsionAmbient):
+    with pytest.raises(ValueError, match="is a two-torsion abscissa"):
         psiref.eval_division_poly_direct(ctx, E, 1, 7, MultCounter())
 
 
@@ -288,7 +288,7 @@ def test_eval_bills_as_ticked_walk(p):
     x, A = rng.randrange(p), rng.randrange(p)
     E = WeierstrassCurve(A, -(x**3 + A * x) % p)  # w(x) = 0
     ctr = MultCounter()
-    with pytest.raises(TwoTorsionAmbient):
+    with pytest.raises(ValueError, match="is a two-torsion abscissa"):
         divpoly.eval_division_poly(ctx, E, x, 7, ctr)
     assert ctr.count == 3
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistforge.fp_arith import FpContext, MultCounter, ZeroInverse, is_prime
+from twistforge.fp_arith import FpContext, MultCounter, is_prime
 
 from psiref import mul
 
@@ -84,16 +84,6 @@ def test_fermat_exhaustive_small_primes():
         ctx = FpContext(p)
         for a in range(1, p):
             assert ctx.pow(a, p - 1, MultCounter()) == 1
-
-
-def test_inv():
-    ctx = FpContext(101)
-    for a in range(1, 101):
-        assert a * ctx.inv(a) % 101 == 1
-    with pytest.raises(ZeroInverse):
-        ctx.inv(0)
-    with pytest.raises(ZeroInverse):
-        ctx.inv(101)
 
 
 def test_euler_criterion_matches_sqrt():

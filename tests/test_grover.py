@@ -66,7 +66,7 @@ def test_plan_iterations_exact(lab101):
     plan = grover.plan_iterations(ctx, s, h=m)
     # p = 101 is 1 mod 4, so the class space has 2p + 2 = 204 points
     assert plan == grover.SearchPlan(204, grover.optimal_iterations(204, m))
-    with pytest.raises(grover.NoTarget):
+    with pytest.raises(ValueError, match="marks no class over F_101"):
         grover.plan_iterations(ctx, s, h=0)
 
 
@@ -94,5 +94,5 @@ def test_run_search_no_target(lab101):
     # an empty mask instead.
     s = SerialNumber(103, 101)
     plan = grover.plan_iterations(lab101.ctx, s, h=2)
-    with pytest.raises(grover.NoTarget):
+    with pytest.raises(ValueError, match="marks no class over F_101"):
         grover.run_search(lab101.ctx, s, plan, np.zeros(204, dtype=bool))

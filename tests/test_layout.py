@@ -1,10 +1,13 @@
 """src/ is only the program: every name it defines is read by src/ itself
-or by bench/, and every parameter default it declares is overridden by
-some call in src/ or bench/.  A name that only tests read is a reference,
-and lives in tests/ (grouplaw.py, psiref.py, conftest.py), or it is dead
-code; so is an option that only tests pass."""
+or by bench/, every parameter default it declares is overridden by some
+call in src/ or bench/, and every exception class it defines is named by
+some except clause in src/ or bench/.  A name that only tests read is a
+reference, and lives in tests/ (grouplaw.py, psiref.py, conftest.py), or it
+is dead code; so is an option that only tests pass, and an exception type
+that only pytest.raises tells apart from its base."""
 
 import ast
+import builtins
 import pathlib
 import re
 from collections import Counter
@@ -111,3 +114,27 @@ def test_src_declares_no_default_that_only_tests_override():
                        for fn, param, position in _defaults(tree)
                        if not any(_passes(c, fn, param, position) for c in calls)})
     assert not unpassed, f"defaults that no call in src/ or bench/ overrides: {unpassed}"
+
+
+def _exception_classes(trees):
+    """Top-level classes that derive, through src/ classes, from a builtin
+    exception."""
+    bases = {node.name: {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+             for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    while new := {name for name in bases if bases[name] & exceptions} - exceptions:
+        exceptions |= new
+    return sorted(exceptions & bases.keys())
+
+
+def test_src_defines_no_exception_that_nothing_catches():
+    """An exception class is a type that a handler tells apart from its
+    base; if no except clause in src/ or bench/ names it, the base serves,
+    and raising it is no read of it."""
+    src = _trees("src/twistforge")
+    caught = {name for tree in src + _trees("bench") for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for name in _names(handler.type)}
+    uncaught = [name for name in _exception_classes(src) if name not in caught]
+    assert not uncaught, f"exception classes that no except clause in src/ or bench/ names: {uncaught}"

@@ -24,7 +24,7 @@ def test_mint_is_seed_deterministic(lab101):
 def test_mint_serial_is_accepted(lab101):
     for seed in range(25):
         note = scheme.mint(lab101.ctx, seed)
-        assert note.p == 101
+        assert note.serial.p == 101
         fr = classnum.frobenius_discriminant(101, note.serial.sigma)
         assert fr.accepted
         assert note.serial.sigma != 102
@@ -61,7 +61,7 @@ def _reference_mint(lab, seed):
         sigma = int(lab.cards[rng.randrange(len(lab.classes))])
         if sigma != lab.p + 1 and classnum.frobenius_discriminant(lab.p, sigma).accepted:
             support = tuple(c for c, n in zip(lab.classes, lab.cards) if n == sigma)
-            return scheme.Banknote(lab.p, SerialNumber(sigma, lab.p), support)
+            return scheme.Banknote(SerialNumber(sigma, lab.p), support)
 
 
 def test_mint_matches_reference_draw_loop(lab101, lab499, lab1009):
@@ -139,7 +139,8 @@ def test_forge_end_to_end(lab101):
 def test_every_hasse_trace_is_attained():
     """Every trace 0 < |t| <= 2 sqrt(p) is that of some curve over F_p
     (Deuring), so every valid sigma marks a class and scheme.forge never
-    meets grover.NoTarget; tests/test_grover.py drives that error directly."""
+    meets grover's "marks no class" error; tests/test_grover.py drives that
+    error directly."""
     for p in filter(is_prime, range(5, 600)):
         attained = {r.cardinality for r in
                     curves.build_curve_table(FpContext(p), with_structure=False)}
