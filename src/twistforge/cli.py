@@ -35,6 +35,19 @@ def _parse_prime(value: int) -> FpContext:
         raise UsageError(f"p must be a prime in [5, 2^31), got {value}") from None
 
 
+def _predicate_prime(value: int) -> FpContext:
+    """The prime of a command that runs the serial predicate.  At p = 5, 7,
+    11, 17, 23 and 29 some classes pass a sigma they do not have (exp(E)
+    divides sigma and exp(E^t) divides 2p + 2 - sigma).  Above 229
+    Mestre's theorem rules that out for the predicate over all x, and the
+    tests scan every prime from 31 to 229 at the default tau."""
+    ctx = _parse_prime(value)
+    if ctx.p < 31:
+        raise UsageError(f"p must be >= 31 for the serial predicate, got {value}: "
+                         "below 31 a class can pass a sigma it does not have")
+    return ctx
+
+
 def _serial(ctx: FpContext, sigma: int) -> SerialNumber:
     try:
         return SerialNumber(sigma, ctx.p)
@@ -138,7 +151,7 @@ def cmd_mint(args) -> list[dict]:
 
 
 def cmd_check_serial(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
+    ctx = _predicate_prime(args.p)
     s = _serial(ctx, args.sigma)
     c = CurveClass(args.j, args.b)
     if not (0 <= args.j < ctx.p and 0 <= args.b < curves.b_range(ctx, args.j)):
@@ -148,7 +161,7 @@ def cmd_check_serial(args) -> list[dict]:
 
 
 def cmd_forge_sim(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
+    ctx = _predicate_prime(args.p)
     s = _serial(ctx, args.sigma)
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
@@ -223,7 +236,7 @@ def cmd_estimate(args) -> list[dict]:
 
 
 def cmd_audit(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
+    ctx = _predicate_prime(args.p)
     s = _serial(ctx, args.sigma)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")

@@ -6,17 +6,19 @@ function of n alone, so only the coefficient c is carried.  psi_l is
 produced by the windowed doubling schedule: a 10-tuple of consecutive psi
 values is doubled per step, each output entry made by the g1 or g2
 recurrence (at most 8 counted multiplications), hence at most 80
-multiplications per doubling.  One
-coefficient kernel serves the billed scalar path on Python ints and the
-vectorised path on arrays of lane_dtype(p): uint32 below p = 2^16, int64
-above.  Only the reduction mod p differs, and no intermediate goes negative,
-so unsigned lanes never wrap.
+multiplications per doubling.  Both backends walk one plan and share one
+psi_3/psi_4 formula, but each makes its entries its own way.  The billed
+scalar path computes an entry in Python's unbounded ints and reduces it
+once, since its largest product (about 155 bits below p = 2^31) costs less
+than a reduction per product.  The vectorised path runs a coefficient
+kernel on arrays of lane_dtype(p), uint32 below p = 2^16 and int64 above,
+which must reduce after every product; no intermediate goes negative, so
+unsigned lanes never wrap.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,31 +71,70 @@ def _psi3_psi4(mul, x, A, B, p):
     yield _rem(2 * inner, p)
 
 
-def _coef_g1(v, n: int, w2, p: int, rem=_rem):
-    """Coefficient of psi_{2n+1} from those of psi_{n-1}..psi_{n+2}, as
-    ints or lane arrays; w2 = w^2 is the y^4 of the two even-index factors.
-    rem(c, p) reduces into [0, p): `_rem` on arrays, `operator.mod` on ints,
-    where a C-level % beats a Python call.  Every difference is taken after
-    adding p, so unsigned lanes never wrap."""
+def _coef_g1(v, n: int, w2, p: int):
+    """Coefficient of psi_{2n+1} from those of psi_{n-1}..psi_{n+2}, as lane
+    arrays; w2 = w^2 is the y^4 of the two even-index factors.  Every
+    difference is taken after adding p, so unsigned lanes never wrap."""
     c_nm1, c_n, c_np1, c_np2 = v
-    t1 = rem(rem(c_np2 * rem(c_n * c_n, p), p) * c_n, p)
-    t2 = rem(rem(c_nm1 * rem(c_np1 * c_np1, p), p) * c_np1, p)
+    t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
+    t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
     if n % 2 == 0:
-        t1 = rem(t1 * w2, p)
+        t1 = _rem(t1 * w2, p)
     else:
-        t2 = rem(t2 * w2, p)
-    return rem(t1 + p - t2, p)
+        t2 = _rem(t2 * w2, p)
+    return _rem(t1 + p - t2, p)
 
 
-def _coef_g2(v, p: int, rem=_rem):
-    """Coefficient of psi_{2n} from those of psi_{n-2}..psi_{n+2}; rem as
-    for `_coef_g1`."""
+def _coef_g2(v, p: int):
+    """Coefficient of psi_{2n} from those of psi_{n-2}..psi_{n+2}, as lane
+    arrays."""
     # the division by psi_2 = 2y, c / (2y) = c y / (2w), carried as c / 2
     # since callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
     c_nm2, c_nm1, c_n, c_np1, c_np2 = v
-    inner = rem(rem(c_nm1 * c_nm1, p) * c_np2 + p - rem(c_nm2 * rem(c_np1 * c_np1, p), p), p)
-    c = rem(inner * c_n, p)
+    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 + p - _rem(c_nm2 * _rem(c_np1 * c_np1, p), p), p)
+    c = _rem(inner * c_n, p)
     return (c + (c & 1) * p) >> 1
+
+
+def _int_coefs(v, entries, w2: int, p: int, half: int) -> list[int]:
+    """The coefficients that the (index, psi_entry) pairs `entries` make
+    from the run v of coefficients, in Python ints reduced once per entry;
+    half = 1/2 mod p.  The same g1 and g2 as `_coef_g1` and `_coef_g2`,
+    with w^2 on the side of the two even-index factors and psi_2 = 2y
+    divided out as 1/2."""
+    out = []
+    for _, (is_g1, off, n) in entries:
+        if is_g1:
+            a, b, c, d = v[off:off + 4]
+            if n & 1:
+                out.append((d * b * b * b - a * c * c * c * w2) % p)
+            else:
+                out.append((d * b * b * b * w2 - a * c * c * c) % p)
+        else:
+            a, b, c, d, e = v[off:off + 5]
+            out.append((b * b * e - a * d * d) * c * half % p)
+    return out
+
+
+def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
+    """The multiplications of one entry from the run v into its output c,
+    as ticking every product of the F_p[y]/(y^2 - w) arithmetic counts them
+    (tests/psiref.py walks it so): 1 per product, 1 more when both factors
+    carry a y (so are nonzero at an even index), and 1 for the division by
+    psi_2 of a nonzero value.  That is 8, or 7 for psi_2n at even n, when
+    nothing vanishes, and less where an input or the output does."""
+    is_g1, off, n = entry
+    if is_g1:
+        # ya (cubed) and yb are the factors that carry a y: squaring a
+        # nonzero ya takes a w, and so does its cube times a nonzero yb
+        ya, yb = (v[off + 2], v[off]) if n & 1 else (v[off + 1], v[off + 3])
+        return 8 if ya and yb else 7 if ya else 6
+    # a nonzero output is divided by psi_2, one product; at odd n squaring
+    # a nonzero psi_{n-1} or psi_{n+1} takes a w, at even n the product by
+    # psi_n does when the output is nonzero
+    if n & 1:
+        return 5 + (v[off + 1] != 0) + (v[off + 3] != 0) + (c != 0)
+    return 7 if c else 5
 
 
 def _psi_coeffs(x, A, B, p: int, upto: int, g) -> list:
@@ -108,14 +149,16 @@ def _psi_coeffs(x, A, B, p: int, upto: int, g) -> list:
 
 
 @lru_cache(maxsize=256)  # the oracle walks the same plan at every x
-def step_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...]]:
+def step_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...],
+                                 tuple[int, ...]]:
     """The windowed doubling schedule of psi_ell.
 
     The chain sigma_0 = ell > sigma_1 > ... > sigma_r = k <= 5 steps down by
     sigma_{i+1} = (sigma_i - 4) // 2, since one doubling step maps the window
     based at b to the one based at 2b + 4 or 2b + 5.  Returns k, the last
-    entry (9) of the base window psi_k .. psi_{k+9}, and per step, first to
-    last, the (index, psi_entry) pair of each of its 10 output entries.
+    entry (9) of the base window psi_k .. psi_{k+9}, per step, first to
+    last, the (index, psi_entry) pair of each of its 10 output entries, and
+    per step its bill when no entry it reads or writes vanishes.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -125,17 +168,16 @@ def step_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], 
     bases = sigmas[::-1]  # k, then the base after each step, ending on ell
     steps = tuple(tuple((i, psi_entry(new + i, base)) for i in range(10))
                   for base, new in zip(bases, bases[1:]))
-    return bases[0], 9, steps
+    nonzero = (1,) * 10
+    bills = tuple(sum(_entry_bill(entry, nonzero, 1) for _, entry in step) for step in steps)
+    return bases[0], 9, steps, bills
 
 
-def _walk(win: list, steps, g):
+def _walk(win: list, steps, step_fn):
     """Runs the steps of a plan from its base window and returns entry 0;
-    g(win, entry) computes one entry of the next window from the last."""
+    step_fn(win, step) makes the next window from the last."""
     for step in steps:
-        new = [None] * 10
-        for i, entry in step:
-            new[i] = g(win, entry)
-        win = new
+        win = step_fn(win, step)
     return win[0]
 
 
@@ -149,16 +191,14 @@ def eval_division_poly(
     """The coefficient c of psi_ell(A, B, x) = c * y^eps via the doubling
     schedule (eps = 1 iff ell is even); O(log ell) multiplications.
 
-    The coefficients are plain ints on the batch backend's kernel, reduced
-    with %.  Each step computes all 10 entries, as the 80-per-bit budget
-    bills them, and the bill is what ticking every product of the
-    F_p[y]/(y^2 - w) arithmetic counts (tests/psiref.py walks it so): 1 per
-    product, 1 more when both factors carry a y (so are nonzero at an even
-    index), and 1 for the division by psi_2 of a nonzero value.  That is 8
-    per entry, 7 for psi_2n at even n, less where an input or the output
-    vanishes.
+    Each entry is a Python int reduced once (`_int_coefs`).  Each step
+    computes all 10 entries, as the 80-per-bit budget bills them, and the
+    bill is what ticking every product counts (`_entry_bill`): per step the
+    plan's bill when no entry of the step's input or output window
+    vanishes, which is the common case, and otherwise the rule entry by
+    entry, as for the base window.
     """
-    k, top, steps = step_plan(ell)
+    k, top, steps, bills = step_plan(ell)
     p = ctx.p
     x %= p
     ctr.tick(3)  # x^2, x^3 and A x, the products of w
@@ -166,43 +206,33 @@ def eval_division_poly(
     if w == 0:
         raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     w2 = w * w % p
+    half = (p + 1) // 2
     bill = 12  # the products of psi_3 and psi_4
 
     def g(v, entry):
         nonlocal bill
-        is_g1, off, n = entry
-        if is_g1:
-            u = v[off:off + 4]
-            c = _coef_g1(u, n, w2, p, mod)
-            if 0 not in u:  # no input vanishes, the common case
-                bill += 8
-            else:
-                # ya (cubed) and yb are the factors that carry a y: squaring
-                # a nonzero ya takes a w, and so does its cube times a
-                # nonzero yb
-                c0, c1, c2, c3 = u
-                ya, yb = (c2, c0) if n & 1 else (c1, c3)
-                bill += 8 if ya and yb else 7 if ya else 6
-        else:
-            u = v[off:off + 5]
-            c = _coef_g2(u, p, mod)
-            # a nonzero output is divided by psi_2, one product; at odd n
-            # squaring a nonzero psi_{n-1} or psi_{n+1} takes a w, at even n
-            # the product by psi_n does when the output is nonzero
-            if n & 1:
-                bill += 8 if c and u[1] and u[3] else 5 + (u[1] != 0) + (u[3] != 0) + (c != 0)
-            else:
-                bill += 7 if c else 5
+        c, = _int_coefs(v, ((0, entry),), w2, p, half)
+        bill += _entry_bill(entry, v, c)
         return c
 
-    c = _walk(_psi_coeffs(x, E.A, E.B, p, k + top, g)[k + 1:], steps, g)
+    def step(win, planned):
+        nonlocal bill
+        entries, step_bill = planned
+        new = _int_coefs(win, entries, w2, p, half)
+        if 0 in win or 0 in new:
+            bill += sum(_entry_bill(entry, win, c) for (_, entry), c in zip(entries, new))
+        else:
+            bill += step_bill
+        return new
+
+    c = _walk(_psi_coeffs(x, E.A, E.B, p, k + top, g)[k + 1:], zip(steps, bills), step)
     ctr.tick(bill)
     return c
 
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation over many (A, B, x) ambients at once.  Same base
-# formula, coefficient kernel, step plan and walk as above.  The largest
+# formula, step plan and walk as above, on the coefficient kernel.  The largest
 # intermediate is (p - 1)^2 + p (in g2), below 2^32 for p < 2^16 and below
 # 2^62 for p < 2^31.
 # ---------------------------------------------------------------------------
@@ -234,7 +264,7 @@ def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...]
     entry the first step reads.  With no step (ell <= 5) the base window
     needs only its entry 0, psi_ell itself.
     """
-    k, _, full = step_plan(ell)
+    k, _, full, _ = step_plan(ell)
     need, steps = {0}, []
     for step in reversed(full):
         steps.append(tuple(step[i] for i in sorted(need)))
@@ -261,6 +291,12 @@ class BatchAmbient:
             return _coef_g1(v[off:off + 4], n, self.w2, self.p)
         return _coef_g2(v[off:off + 5], self.p)
 
+    def _step(self, win: list[np.ndarray], step) -> list[np.ndarray | None]:
+        new = [None] * 10
+        for i, entry in step:
+            new[i] = self._g(win, entry)
+        return new
+
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:
         """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
         return _psi_coeffs(self.x, self.A, self.B, self.p, upto, self._g)
@@ -268,4 +304,4 @@ class BatchAmbient:
     def eval(self, ell: int) -> np.ndarray:
         """Coefficient array of psi_ell across all ambients."""
         k, top, steps = pruned_plan(ell)
-        return _walk(self.psi_coeffs(k + top)[k + 1:], steps, self._g)
+        return _walk(self.psi_coeffs(k + top)[k + 1:], steps, self._step)

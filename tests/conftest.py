@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistforge import curves, forgery
+from twistforge import classnum, curves, forgery
 from twistforge.curves import NonResidueTable, WeierstrassCurve
 from twistforge.forgery import SerialNumber
 from twistforge.fp_arith import FpContext
@@ -53,6 +53,20 @@ def grover_success(n: int, m: int, k: int) -> float:
     """Closed form sin^2((2k+1) asin(sqrt(M/N)))."""
     theta = math.asin(math.sqrt(m / n))
     return math.sin((2 * k + 1) * theta) ** 2
+
+
+def kronecker_class_number(D: int) -> int:
+    """H(D) for D < 0: the sum of h(D / f^2) over the f with f^2 | D and
+    D / f^2 = 0 or 1 mod 4, where h counts reduced primitive forms with no
+    weights (h(-3) = h(-4) = 1).  H(t^2 - 4p) is the number of classes over
+    F_p with trace t (Schoof, "Nonsingular plane cubic curves over finite
+    fields", 1987)."""
+    total = 0
+    for f in range(1, math.isqrt(-D) + 1):
+        if D % (f * f) == 0 and D // (f * f) % 4 in (0, 1):
+            d = D // (f * f)
+            total += 1 if d in (-3, -4) else classnum.exact_class_number(d)
+    return total
 
 
 @pytest.fixture(scope="session")

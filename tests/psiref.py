@@ -3,8 +3,9 @@
 Values are typed by their parity, c * y^parity, every product goes through
 `mul` and ticks the counter, and psi_ell is also available by the naive
 O(ell) recurrence.  The package's billed walk (`divpoly.eval_division_poly`)
-runs the shared coefficient kernel on plain ints, bills each entry by rule
-and returns only the coefficient; this module is the independent side its
+computes each entry in plain ints reduced once, bills each step by the
+plan's closed form or, where a psi vanishes, each entry by rule, and
+returns only the coefficient; this module is the independent side its
 values and counts are checked against.
 """
 

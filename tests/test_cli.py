@@ -235,6 +235,10 @@ def test_usage_errors_exit_2(capsys):
         ["estimate", "--p", str(2**1021 + 1)],
         ["estimate", "--bits", "1021", "--p", "3"],
         ["estimate", "--bits", "8", "--p", "1009"],
+        # the serial predicate passes classes of another count below 31
+        ["check-serial", "--p", "17", "--sigma", "24", "--j", "10", "--b", "0"],
+        ["forge-sim", "--p", "17", "--sigma", "24"],
+        ["audit", "--p", "29", "--sigma", "40"],
     ):
         rc, out, err = run(argv, capsys)
         assert (rc, out) == (2, ""), argv

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from twistforge.curves import CurveClass, NonResidueTable, WeierstrassCurve
 from twistforge.fp_arith import FpContext, MultCounter, is_prime
 
 import grouplaw
-from conftest import get_lab
+from conftest import get_lab, kronecker_class_number
 from grouplaw import NotANonResidue, SingularCurve
 
 
@@ -183,6 +184,21 @@ def test_curve_table_cardinalities_match_direct_counts():
         rows = curves.build_curve_table(ctx, with_structure=False)
         direct = [curves.count_points(ctx, WeierstrassCurve(r.A, r.B)) for r in rows]
         assert [r.cardinality for r in rows] == direct, p
+
+
+@pytest.mark.parametrize("p", [*filter(is_prime, range(5, 44)), 101, 103, 307, 311, 313,
+                               1009, 3001])
+def test_census_is_the_kronecker_class_numbers(p):
+    """The table has H(t^2 - 4p) classes of trace t at every t of the Hasse
+    band, t = 0 and non-fundamental discriminants included, and none
+    outside it: a check of the (j, b) map, the counts and the twist fill
+    that shares nothing with the character sum."""
+    rows = curves.build_curve_table(FpContext(p), with_structure=False)
+    traces = Counter(p + 1 - r.cardinality for r in rows)
+    band = range(-math.isqrt(4 * p), math.isqrt(4 * p) + 1)
+    assert set(traces) <= set(band), p
+    for t in band:
+        assert traces[t] == kronecker_class_number(t * t - 4 * p), (p, t)
 
 
 def test_hasse_band(lab101):

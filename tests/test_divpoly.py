@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import random
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import _coef_g1, _coef_g2, _rem
+from twistforge.divpoly import _coef_g1, _coef_g2, _int_coefs
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -116,13 +115,19 @@ def _output(entry):
     return 2 * n + 1 if is_g1 else 2 * n
 
 
+def _nonzero_bill(m):
+    """What psi_m bills when nothing vanishes: 8, or 7 for psi_2n at even n."""
+    return 7 if m % 4 == 0 else 8
+
+
 def test_step_plan_worked_example():
-    # 21 = 2 * 8 + 5 and 8 = 2 * 2 + 4
-    k, top, steps = divpoly.step_plan(21)
-    assert (k, top, len(steps)) == (2, 9, 2)
+    # 21 = 2 * 8 + 5 and 8 = 2 * 2 + 4; psi_8 .. psi_17 holds psi_8, psi_12
+    # and psi_16, psi_21 .. psi_30 holds psi_24 and psi_28
+    k, top, steps, bills = divpoly.step_plan(21)
+    assert (k, top, len(steps), bills) == (2, 9, 2, (77, 78))
     for step, (base, new_base) in zip(steps, ((2, 8), (8, 21))):
         assert step == tuple((i, divpoly.psi_entry(new_base + i, base)) for i in range(10))
-    assert divpoly.step_plan(4) == (4, 9, ())
+    assert divpoly.step_plan(4) == (4, 9, (), ())
     for ell in (0, -3):
         with pytest.raises(ValueError):
             divpoly.step_plan(ell)
@@ -131,13 +136,15 @@ def test_step_plan_worked_example():
 
 
 def _walk_schedule(ell):
-    """The base the doubling plan of both backends ends on for psi_ell."""
-    base, top, steps = divpoly.step_plan(ell)
-    assert 1 <= base <= 5 and top == 9
-    for step in steps:
+    """The base the doubling plan of both backends ends on for psi_ell;
+    each step's bill is that of its 10 outputs when nothing vanishes."""
+    base, top, steps, bills = divpoly.step_plan(ell)
+    assert 1 <= base <= 5 and top == 9 and len(bills) == len(steps)
+    for step, bill in zip(steps, bills):
         new_base = _output(step[0][1])
         assert new_base in (2 * base + 4, 2 * base + 5), (ell, base, new_base)
         assert step == tuple((i, divpoly.psi_entry(new_base + i, base)) for i in range(10))
+        assert bill == sum(map(_nonzero_bill, range(new_base, new_base + 10))), (ell, new_base)
         base = new_base
     return base
 
@@ -157,7 +164,7 @@ def test_pruned_plan_keeps_what_it_reads():
     every entry a later step reads, and its walk ends on psi_ell alone."""
     for ell in range(1, 4097):
         k, top, steps = divpoly.pruned_plan(ell)
-        full_k, full_top, full = divpoly.step_plan(ell)
+        full_k, full_top, full, _ = divpoly.step_plan(ell)
         assert k == full_k and top <= full_top and len(steps) == len(full)
         have = set(range(top + 1))
         for keep, step in zip(steps, full):
@@ -175,7 +182,7 @@ def test_step_plan_matches_direct():
     ctx, amb = make_ambient()
     ref = psiref.psi_sequence(amb, 1010)
     for ell in (10, 11, 21, 202, 999):
-        k, top, steps = divpoly.step_plan(ell)
+        k, top, steps, _ = divpoly.step_plan(ell)
         win = ref[k + 1:k + top + 2]
         for step in steps:
             win = [psiref._g(amb, win, entry) for _, entry in step]
@@ -232,7 +239,7 @@ def _ticked_walk(ctx, E, x, ell, seen):
     """psi_ell and its count by the walk on TwistedValues, with Ambient
     ticking every product; seen collects 'zero in' when an entry reads a
     vanishing psi at an even index and 'zero out' when one vanishes."""
-    k, top, steps = divpoly.step_plan(ell)
+    k, top, steps, _ = divpoly.step_plan(ell)
     amb = Ambient(ctx, E, x, MultCounter())
 
     def g(win, entry):
@@ -246,7 +253,8 @@ def _ticked_walk(ctx, E, x, ell, seen):
             seen.add("zero out")
         return out
 
-    value = divpoly._walk(psiref.psi_sequence(amb, k + top)[k + 1:], steps, g)
+    value = divpoly._walk(psiref.psi_sequence(amb, k + top)[k + 1:], steps,
+                          lambda win, step: [g(win, entry) for _, entry in step])
     return value, amb.ctr.count
 
 
@@ -264,10 +272,12 @@ def _billing_cases(p, rng):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 2**20 + 7, 2**31 - 1])
 def test_eval_bills_as_ticked_walk(p):
-    """The kernel walk's value and bill equal those of the walk on Ambient
+    """The billed walk's value and bill equal those of the walk on Ambient
     that ticks each product, at tiny p (where psi_m vanish mid-walk), at
     large p, and on j = 0 and j = 1728 curves; a two-torsion x raises after
-    billing w's 3 products."""
+    billing w's 3 products.  An eval in which no psi vanishes, the common
+    case at large p, bills 3 + 12 for w, psi_3 and psi_4, the base window's
+    entries and the plan's step bills, at most 80 per bit of ell."""
     ctx = FpContext(p)
     rng = random.Random(p)
     if p < 200:
@@ -276,15 +286,28 @@ def test_eval_bills_as_ticked_walk(p):
         hasse = math.isqrt(4 * p)
         ells = [*range(1, 41), *(rng.randrange(p + 1 - hasse, p + 2 + hasse) for _ in range(10)),
                 *(rng.randrange(1, 2**40) for _ in range(10))]
-    seen = set()
+    seen, closed = set(), 0
     for E, x in _billing_cases(p, rng):
+        # psi_1 .. psi_14 hold every base window, psi_k .. psi_{k+9} with k <= 5
+        base_nonzero = all(v.c for v in psiref.psi_sequence(
+            Ambient(ctx, E, x, MultCounter()), 14)[2:])
         for ell in ells:
-            want, want_count = _ticked_walk(ctx, E, x, ell, seen)
+            walk_seen = set()
+            want, want_count = _ticked_walk(ctx, E, x, ell, walk_seen)
             ctr = MultCounter()
             got = divpoly.eval_division_poly(ctx, E, x, ell, ctr)
             assert (got, ctr.count) == (want.c, want_count), (E, x, ell)
+            seen |= walk_seen
+            if base_nonzero and not walk_seen:
+                k, _, _, bills = divpoly.step_plan(ell)
+                base = sum(map(_nonzero_bill, range(5, k + 10)))
+                assert ctr.count == 15 + base + sum(bills), (E, x, ell)
+                assert ctr.count <= 80 * max(1, (ell - 1).bit_length()), (E, x, ell)
+                closed += 1
     if p < 200:
         assert seen == {"zero in", "zero out"}
+    else:
+        assert closed == 3 * len(ells)
     x, A = rng.randrange(p), rng.randrange(p)
     E = WeierstrassCurve(A, -(x**3 + A * x) % p)  # w(x) = 0
     ctr = MultCounter()
@@ -295,36 +318,40 @@ def test_eval_bills_as_ticked_walk(p):
 
 @pytest.mark.parametrize("p", [5, 101, 65521, 2**20 + 7, 2**31 - 1])
 def test_kernel_int_mod_matches_int64_rem(p):
-    """The coefficient kernel gives the same answer on Python ints reduced
-    with operator.mod as on int64 arrays, and below 2^16 on uint32 arrays,
-    reduced with _rem, lane by lane, and it is the g1 / g2 recurrence
-    computed in exact integers mod p.  On uint32 lanes a difference that
-    went negative would wrap mod 2^32, not mod p."""
+    """g1 and g2 computed in exact integers mod p are what the coefficient
+    kernel gives on int64 arrays, and below 2^16 on uint32 arrays, lane by
+    lane, and what the scalar path's int step gives, which reduces each
+    entry once.  On uint32 lanes a difference that went negative would wrap
+    mod 2^32, not mod p."""
     rng = random.Random(p)
     half = (p + 1) // 2  # 1/2 mod p
     # every 5-tuple of 0, 1 and p - 1 (products near p^2, negative
     # differences), then random residues; one row per lane
     rows = [list(r) for r in itertools.product((0, 1, p - 1), repeat=5)]
     rows += [[rng.randrange(p) for _ in range(5)] for _ in range(300)]
-    for dtype in [np.int64] + [np.uint32] * (p < 2**16):
-        cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
-        # g1 reads psi_{n-1}..psi_{n+2} and w^2; the parity of n picks the
-        # side that takes w^2
-        for n in (2, 3):
-            lanes = _coef_g1(cols[:4], n, cols[4], p, _rem)
-            assert lanes.dtype == dtype
-            for i, (c0, c1, c2, c3, w2) in enumerate(rows):
-                t1, t2 = c3 * c1**3, c0 * c2**3
-                want = (t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p
-                got = _coef_g1((c0, c1, c2, c3), n, w2, p, operator.mod)
-                assert got == int(lanes[i]) == want, (p, dtype, n, rows[i])
-        # g2 reads psi_{n-2}..psi_{n+2} and halves the result
-        lanes = _coef_g2(cols, p, _rem)
-        assert lanes.dtype == dtype
-        for i, (c0, c1, c2, c3, c4) in enumerate(rows):
-            want = (c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p
-            got = _coef_g2((c0, c1, c2, c3, c4), p, operator.mod)
-            assert got == int(lanes[i]) == want, (p, dtype, rows[i])
+    dtypes = [np.int64] + [np.uint32] * (p < 2**16)
+    # g1 reads psi_{n-1}..psi_{n+2} and w^2; the parity of n picks the side
+    # that takes w^2
+    for n in (2, 3):
+        want = []
+        for c0, c1, c2, c3, w2 in rows:
+            t1, t2 = c3 * c1**3, c0 * c2**3
+            want.append((t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p)
+        for row, c in zip(rows, want):
+            assert _int_coefs(row, [(0, (True, 0, n))], row[4], p, half) == [c], (p, n, row)
+        for dtype in dtypes:
+            cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
+            lanes = _coef_g1(cols[:4], n, cols[4], p)
+            assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype, n)
+    # g2 reads psi_{n-2}..psi_{n+2} and halves the result; the int step
+    # takes every row as one entry of a single run
+    want = [(c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p for c0, c1, c2, c3, c4 in rows]
+    run = [c for row in rows for c in row]
+    entries = [(i, (False, 5 * i, 2 + i % 2)) for i in range(len(rows))]
+    assert _int_coefs(run, entries, 0, p, half) == want, p
+    for dtype in dtypes:
+        lanes = _coef_g2([np.array(c, dtype=dtype) for c in zip(*rows)], p)
+        assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype)
 
 
 def test_batch_matches_scalar():

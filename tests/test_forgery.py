@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from twistforge import curves, forgery
-from twistforge.curves import WeierstrassCurve
+from twistforge import curves, forgery, scheme
+from twistforge.curves import CurveClass, WeierstrassCurve
 from twistforge.forgery import (
     F, G, InvalidSerial, OracleConfig, SerialNumber, default_tau,
 )
-from twistforge.fp_arith import FpContext, MultCounter
+from twistforge.fp_arith import FpContext, MultCounter, is_prime
 
 from conftest import g_zero_fraction
 
@@ -275,3 +275,55 @@ def test_false_positive_experiment_matches_reference(lab101, mode, trials):
                for r in rows]
         want = _reference_fp_rows(lab101, s, taus, trials, 4, mode)
         assert repr(got) == repr(want), (sigma, mode, trials)
+
+
+# (p, sigma, j, b) of every class that passes a serial it does not have,
+# strict_or at the default tau, over all primes below 230: the class's group
+# exponent divides sigma and its twist's divides 2p + 2 - sigma, so every
+# abscissa passes
+FALSE_PASSES = {
+    (5, 4, 3, 2), (5, 8, 3, 0),
+    (7, 4, 6, 1), (7, 6, 0, 0), (7, 10, 0, 3), (7, 12, 6, 1),
+    (11, 6, 1, 1), (11, 8, 2, 0), (11, 16, 2, 1), (11, 18, 1, 1),
+    (17, 12, 10, 1), (17, 24, 10, 0),
+    (23, 16, 6, 1), (23, 32, 6, 0),
+    (29, 20, 17, 2), (29, 40, 17, 0),
+}
+
+
+def test_false_passes_below_31():
+    """Each pinned class passes its sigma in check_serial and in the sweep,
+    and has another count."""
+    for p, sigma, j, b in sorted(FALSE_PASSES):
+        ctx = FpContext(p)
+        nr = curves.NonResidueTable.for_prime(ctx)
+        cfg = OracleConfig.for_prime(p)
+        s = SerialNumber(sigma, p)
+        E = curves.get_weierstrass_pair(ctx, CurveClass(j, b), nr)
+        assert curves.count_points(ctx, E) != sigma, (p, sigma, j, b)
+        assert scheme.check_serial(ctx, CurveClass(j, b), s, cfg, nr) == 1, (p, sigma, j, b)
+        marked = forgery.batch_marked(ctx, np.array([E.A]), np.array([E.B]), s, cfg)
+        assert marked.tolist() == [True], (p, sigma, j, b)
+
+
+def test_no_false_pass_from_31_to_229():
+    """The strict_or sweep at the default tau marks exactly the classes with
+    sigma points, at every sigma of the band and every prime from 31 to 229,
+    where Mestre's theorem does not yet apply; below 31 it also marks the
+    pinned classes, and nothing else."""
+    found = set()
+    for p in filter(is_prime, range(5, 230)):
+        ctx = FpContext(p)
+        j, b, A, B = curves.class_pairs(ctx, curves.NonResidueTable.for_prime(ctx))
+        j, b = j.tolist(), b.tolist()
+        cards = curves.count_points_batch(ctx, A, B)
+        cfg = OracleConfig.for_prime(p)
+        r = math.isqrt(4 * p)
+        for sigma in range(p + 1 - r, p + 2 + r):
+            if sigma == p + 1:
+                continue
+            marked = forgery.batch_marked(ctx, A, B, SerialNumber(sigma, p), cfg)
+            assert marked[cards == sigma].all(), (p, sigma)
+            found |= {(p, sigma, j[i], b[i])
+                      for i in np.flatnonzero(marked & (cards != sigma)).tolist()}
+    assert found == FALSE_PASSES
