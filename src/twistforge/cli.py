@@ -72,6 +72,14 @@ def _taus(text: str) -> list[int]:
     return taus
 
 
+def _seed(value: int) -> int:
+    """A --seed; random.Random(-s) is seeded like Random(s), so a negative
+    seed would silently rerun s."""
+    if value < 0:
+        raise UsageError(f"--seed must be >= 0, got {value}")
+    return value
+
+
 def _emit(rows: list[dict], fmt: str, fh=None) -> None:
     """One JSON line per row, or a CSV table whose non-string cells (mint's
     support) hold the same JSON as the JSON line; to fh, or else stdout."""
@@ -140,7 +148,7 @@ def cmd_enumerate(args) -> list[dict]:
 def cmd_mint(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     try:
-        note = scheme.mint(ctx, args.seed)
+        note = scheme.mint(ctx, _seed(args.seed))
     except scheme.Exhausted as exc:
         raise UsageError(str(exc)) from exc
     return [{
@@ -163,9 +171,7 @@ def cmd_check_serial(args) -> list[dict]:
 def cmd_forge_sim(args) -> list[dict]:
     ctx = _predicate_prime(args.p)
     s = _serial(ctx, args.sigma)
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    result = scheme.forge(ctx, s, _config(ctx, args), seed=args.seed)
+    result = scheme.forge(ctx, s, _config(ctx, args), seed=_seed(args.seed))
     return [{
         "p": str(ctx.p),
         "sigma": str(s.sigma),
@@ -241,7 +247,7 @@ def cmd_audit(args) -> list[dict]:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     rows = estimator.audit(ctx, s, _config(ctx, args),
-                           sample_size=args.samples, seed=args.seed)
+                           sample_size=args.samples, seed=_seed(args.seed))
     return [{
         "j": str(r.j), "b": str(r.b), "is_target": str(int(r.is_target)),
         "measured_mults": str(r.measured_mults),
@@ -255,7 +261,7 @@ def cmd_fp_experiment(args) -> list[dict]:
     s = _serial(ctx, args.sigma)
     taus = _taus(args.taus) if args.taus is not None else [1, 2, 4, forgery.default_tau(ctx.p)]
     rows = forgery.false_positive_experiment(
-        ctx, s, taus, trials=args.trials, seed=args.seed, mode=args.mode)
+        ctx, s, taus, trials=args.trials, seed=_seed(args.seed), mode=args.mode)
     return [{
         "tau": str(r.tau), "rate": repr(r.rate), "bound": repr(r.bound),
         "zero_curves": str(r.zero_curves), "total_curves": str(r.total_curves),

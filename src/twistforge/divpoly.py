@@ -6,14 +6,16 @@ function of n alone, so only the coefficient c is carried.  psi_l is
 produced by the windowed doubling schedule: a 10-tuple of consecutive psi
 values is doubled per step, each output entry made by the g1 or g2
 recurrence (at most 8 counted multiplications), hence at most 80
-multiplications per doubling.  Both backends walk one plan and share one
-psi_3/psi_4 formula, but each makes its entries its own way.  The billed
-scalar path computes an entry in Python's unbounded ints and reduces it
-once, since its largest product (about 155 bits below p = 2^31) costs less
-than a reduction per product.  The vectorised path runs a coefficient
-kernel on arrays of lane_dtype(p), uint32 below p = 2^16 and int64 above,
-which must reduce after every product; no intermediate goes negative, so
-unsigned lanes never wrap.
+multiplications per doubling.  One plan (`step_plan`) lists every entry as
+a plain psi_entry triple, the base window's included, and both backends
+share one psi_3/psi_4 formula, but each makes its entries its own way.  The
+billed scalar path computes an entry in Python's unbounded ints and reduces
+it once, since its largest product (about 155 bits below p = 2^31) costs
+less than a reduction per product.  The vectorised path walks the plan cut
+to the entries later steps read (`pruned_plan`), each window dense, and
+runs a coefficient kernel on arrays of lane_dtype(p), uint32 below
+p = 2^16 and int64 above, which must reduce after every product; no
+intermediate goes negative, so unsigned lanes never wrap.
 """
 
 from __future__ import annotations
@@ -96,14 +98,13 @@ def _coef_g2(v, p: int):
     return (c + (c & 1) * p) >> 1
 
 
-def _int_coefs(v, entries, w2: int, p: int, half: int) -> list[int]:
-    """The coefficients that the (index, psi_entry) pairs `entries` make
-    from the run v of coefficients, in Python ints reduced once per entry;
-    half = 1/2 mod p.  The same g1 and g2 as `_coef_g1` and `_coef_g2`,
-    with w^2 on the side of the two even-index factors and psi_2 = 2y
-    divided out as 1/2."""
-    out = []
-    for _, (is_g1, off, n) in entries:
+def _int_coefs(v, entries, w2: int, p: int, half: int, out: list) -> list[int]:
+    """Appends to out, and returns it, the coefficients that the psi_entry
+    triples `entries` make from the run v, in Python ints reduced once per
+    entry; half = 1/2 mod p.  With out = v each entry reads those before
+    it.  The same g1 and g2 as `_coef_g1` and `_coef_g2`, with w^2 on the
+    side of the two even-index factors and psi_2 = 2y divided out as 1/2."""
+    for is_g1, off, n in entries:
         if is_g1:
             a, b, c, d = v[off:off + 4]
             if n & 1:
@@ -137,28 +138,20 @@ def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
     return 7 if c else 5
 
 
-def _psi_coeffs(x, A, B, p: int, upto: int, g) -> list:
-    """Coefficients of psi_{-1}..psi_upto at x, as ints or lane arrays;
-    entry [i] is psi_{i-1}.  g(psi, entry) makes psi_m for m >= 5."""
-    zero = x * 0  # 0, or zeros shaped like x
-    psi = [zero + (p - 1), zero, zero + 1, zero + 2]
-    psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), x, A, B, p))
-    for m in range(5, upto + 1):
-        psi.append(g(psi, psi_entry(m, -1)))
-    return psi[:upto + 2]
-
-
 @lru_cache(maxsize=256)  # the oracle walks the same plan at every x
-def step_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...],
+def step_plan(ell: int) -> tuple[int, tuple[tuple[bool, int, int], ...],
+                                 tuple[tuple[tuple[bool, int, int], ...], ...],
                                  tuple[int, ...]]:
     """The windowed doubling schedule of psi_ell.
 
     The chain sigma_0 = ell > sigma_1 > ... > sigma_r = k <= 5 steps down by
     sigma_{i+1} = (sigma_i - 4) // 2, since one doubling step maps the window
-    based at b to the one based at 2b + 4 or 2b + 5.  Returns k, the last
-    entry (9) of the base window psi_k .. psi_{k+9}, per step, first to
-    last, the (index, psi_entry) pair of each of its 10 output entries, and
-    per step its bill when no entry it reads or writes vanishes.
+    based at b to the one based at 2b + 4 or 2b + 5.  Returns k; the base,
+    the psi_entry of psi_5 .. psi_{k+9} from psi_{-1}, each reading those
+    before it; per step, first to last, the psi_entry of each of its 10
+    outputs from the window before; and the bills when nothing that a run
+    reads or writes vanishes: the base's, with the 12 of psi_3 and psi_4,
+    then each step's.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -166,19 +159,14 @@ def step_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], 
     while sigmas[-1] > 5:
         sigmas.append((sigmas[-1] - 4) // 2)
     bases = sigmas[::-1]  # k, then the base after each step, ending on ell
-    steps = tuple(tuple((i, psi_entry(new + i, base)) for i in range(10))
-                  for base, new in zip(bases, bases[1:]))
-    nonzero = (1,) * 10
-    bills = tuple(sum(_entry_bill(entry, nonzero, 1) for _, entry in step) for step in steps)
-    return bases[0], 9, steps, bills
-
-
-def _walk(win: list, steps, step_fn):
-    """Runs the steps of a plan from its base window and returns entry 0;
-    step_fn(win, step) makes the next window from the last."""
-    for step in steps:
-        win = step_fn(win, step)
-    return win[0]
+    k = bases[0]
+    base = tuple(psi_entry(m, -1) for m in range(5, k + 10))
+    steps = tuple(tuple(psi_entry(new + i, b) for i in range(10))
+                  for b, new in zip(bases, bases[1:]))
+    nonzero = (1,) * (k + 11)  # psi_{-1} .. psi_{k+9}, the longest run
+    bills = [sum(_entry_bill(entry, nonzero, 1) for entry in run) for run in (base, *steps)]
+    bills[0] += 12
+    return k, base, steps, tuple(bills)
 
 
 def eval_division_poly(
@@ -193,12 +181,12 @@ def eval_division_poly(
 
     Each entry is a Python int reduced once (`_int_coefs`).  Each step
     computes all 10 entries, as the 80-per-bit budget bills them, and the
-    bill is what ticking every product counts (`_entry_bill`): per step the
-    plan's bill when no entry of the step's input or output window
-    vanishes, which is the common case, and otherwise the rule entry by
-    entry, as for the base window.
+    bill is what ticking every product counts (`_entry_bill`): per run, the
+    base window or a step, the plan's bill when no entry that the run reads
+    or writes vanishes, which is the common case, and otherwise the rule
+    entry by entry.  So a zero-free eval bills 3 + sum(step_plan(ell)[3]).
     """
-    k, top, steps, bills = step_plan(ell)
+    k, base, steps, bills = step_plan(ell)
     p = ctx.p
     x %= p
     ctr.tick(3)  # x^2, x^3 and A x, the products of w
@@ -207,27 +195,23 @@ def eval_division_poly(
         raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     w2 = w * w % p
     half = (p + 1) // 2
-    bill = 12  # the products of psi_3 and psi_4
-
-    def g(v, entry):
-        nonlocal bill
-        c, = _int_coefs(v, ((0, entry),), w2, p, half)
-        bill += _entry_bill(entry, v, c)
-        return c
-
-    def step(win, planned):
-        nonlocal bill
-        entries, step_bill = planned
-        new = _int_coefs(win, entries, w2, p, half)
+    psi = [p - 1, 0, 1, 2, *_psi3_psi4(lambda a, b: a * b % p, x, E.A, E.B, p)]
+    _int_coefs(psi, base, w2, p, half, psi)
+    # no entry reads psi_{-1} or psi_0 = 0
+    if 0 in psi[2:]:
+        bill = 12 + sum(_entry_bill(entry, psi, c) for entry, c in zip(base, psi[6:]))
+    else:
+        bill = bills[0]
+    win = psi[k + 1:]
+    for step, step_bill in zip(steps, bills[1:]):
+        new = _int_coefs(win, step, w2, p, half, [])
         if 0 in win or 0 in new:
-            bill += sum(_entry_bill(entry, win, c) for (_, entry), c in zip(entries, new))
+            bill += sum(_entry_bill(entry, win, c) for entry, c in zip(step, new))
         else:
             bill += step_bill
-        return new
-
-    c = _walk(_psi_coeffs(x, E.A, E.B, p, k + top, g)[k + 1:], zip(steps, bills), step)
+        win = new
     ctr.tick(bill)
-    return c
+    return win[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +240,25 @@ def _vec_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
-def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[int, tuple], ...], ...]]:
-    """step_plan(ell) cut down to the entries the walk needs.
+def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[bool, int, int], ...], ...]]:
+    """step_plan(ell) cut down to the entries the walk needs, each window
+    dense.
 
     Walking the steps backwards, the last keeps entry 0 only and each
-    earlier one the entries a later one reads; top is the last base-window
-    entry the first step reads.  With no step (ell <= 5) the base window
-    needs only its entry 0, psi_ell itself.
+    earlier one the entries a later one reads; a kept entry's offset is
+    renumbered to its rank among the kept entries of the step before, so a
+    window holds only what was kept.  The first step reads the base window
+    psi_k .. psi_{k+top} as it is; with no step (ell <= 5) top is 0, for
+    psi_ell itself.
     """
     k, _, full, _ = step_plan(ell)
-    need, steps = {0}, []
+    need, steps = [0], []
     for step in reversed(full):
-        steps.append(tuple(step[i] for i in sorted(need)))
-        need = {off + d for _, (is_g1, off, _) in steps[-1] for d in range(4 if is_g1 else 5)}
-    return k, max(need), tuple(reversed(steps))
+        if steps:  # the later step reads this one's kept entries by rank
+            steps[-1] = tuple((is_g1, need.index(off), n) for is_g1, off, n in steps[-1])
+        steps.append(tuple(step[i] for i in need))
+        need = sorted({off + d for is_g1, off, _ in steps[-1] for d in range(4 if is_g1 else 5)})
+    return k, need[-1], tuple(reversed(steps))
 
 
 class BatchAmbient:
@@ -291,17 +280,19 @@ class BatchAmbient:
             return _coef_g1(v[off:off + 4], n, self.w2, self.p)
         return _coef_g2(v[off:off + 5], self.p)
 
-    def _step(self, win: list[np.ndarray], step) -> list[np.ndarray | None]:
-        new = [None] * 10
-        for i, entry in step:
-            new[i] = self._g(win, entry)
-        return new
-
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:
         """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
-        return _psi_coeffs(self.x, self.A, self.B, self.p, upto, self._g)
+        p, zero = self.p, np.zeros_like(self.x)
+        psi = [zero + (p - 1), zero, zero + 1, zero + 2]
+        psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), self.x, self.A, self.B, p))
+        for m in range(5, upto + 1):
+            psi.append(self._g(psi, psi_entry(m, -1)))
+        return psi[:upto + 2]
 
     def eval(self, ell: int) -> np.ndarray:
         """Coefficient array of psi_ell across all ambients."""
         k, top, steps = pruned_plan(ell)
-        return _walk(self.psi_coeffs(k + top)[k + 1:], steps, self._step)
+        win = self.psi_coeffs(k + top)[k + 1:]
+        for step in steps:
+            win = [self._g(win, entry) for entry in step]
+        return win[0]

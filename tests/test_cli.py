@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import twistforge
-from twistforge import cli
+from conftest import kronecker_class_number
+from twistforge import classnum, cli
 
 
 def run(argv, capsys):
@@ -157,6 +160,21 @@ def test_forge_sim_deterministic(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("p", [31, 37, 101, 229, 1009])
+def test_forge_sim_support_is_the_kronecker_class_number(p, capsys):
+    """At sigma the scheme does not accept, as at those it does, the forged
+    note's support is every class of trace t = p + 1 - sigma: H(t^2 - 4p)
+    of them (Deuring, Schoof), so Grover's plan rests on a class number."""
+    hasse = math.isqrt(4 * p)
+    sigmas = [s for s in range(p + 1 - hasse, p + 2 + hasse)
+              if s != p + 1 and not classnum.frobenius_discriminant(p, s).accepted]
+    for sigma in random.Random(p).sample(sigmas, 6):
+        rc, out, _ = run(["forge-sim", "--p", str(p), "--sigma", str(sigma)], capsys)
+        t = p + 1 - sigma
+        assert rc == 0, (p, sigma)
+        assert lines(out)[0]["support_size"] == str(kronecker_class_number(t * t - 4 * p)), (p, sigma)
+
+
 def test_classnum(capsys):
     rc, out, _ = run(["classnum", "--p", "101", "--sigma", "107"], capsys)
     assert rc == 0
@@ -222,7 +240,11 @@ def test_usage_errors_exit_2(capsys):
         ["check-serial", *oracle, "--j", "5", "--b", "0", "--tau", "-2"],
         ["forge-sim", *oracle, "--tau", "0"],
         ["forge-sim", *oracle, "--tau", "-2"],
+        # random.Random(-s) is seeded like Random(s)
+        ["mint", "--p", "101", "--seed", "-3"],
         ["forge-sim", *oracle, "--seed", "-1"],
+        ["audit", *oracle, "--seed", "-1"],
+        ["fp-experiment", *oracle, "--seed", "-1"],
         ["audit", *oracle, "--tau", "0"],
         ["audit", *oracle, "--tau", "-2"],
         ["fp-experiment", *oracle, "--taus", "-1"],

@@ -121,13 +121,19 @@ def _nonzero_bill(m):
 
 
 def test_step_plan_worked_example():
-    # 21 = 2 * 8 + 5 and 8 = 2 * 2 + 4; psi_8 .. psi_17 holds psi_8, psi_12
-    # and psi_16, psi_21 .. psi_30 holds psi_24 and psi_28
-    k, top, steps, bills = divpoly.step_plan(21)
-    assert (k, top, len(steps), bills) == (2, 9, 2, (77, 78))
-    for step, (base, new_base) in zip(steps, ((2, 8), (8, 21))):
-        assert step == tuple((i, divpoly.psi_entry(new_base + i, base)) for i in range(10))
-    assert divpoly.step_plan(4) == (4, 9, (), ())
+    # 21 = 2 * 8 + 5 and 8 = 2 * 2 + 4; the base psi_5 .. psi_11 holds psi_8,
+    # psi_8 .. psi_17 holds psi_8, psi_12 and psi_16, psi_21 .. psi_30 holds
+    # psi_24 and psi_28; 12 + 7 * 8 - 1 = 67
+    k, base, steps, bills = divpoly.step_plan(21)
+    assert (k, len(steps), bills) == (2, 2, (67, 77, 78))
+    assert base == ((True, 2, 2), (False, 2, 3), (True, 3, 3), (False, 3, 4),
+                    (True, 4, 4), (False, 4, 5), (True, 5, 5))
+    for step, (b, new_base) in zip(steps, ((2, 8), (8, 21))):
+        assert step == tuple(divpoly.psi_entry(new_base + i, b) for i in range(10))
+    assert steps[1][:2] == ((True, 1, 10), (False, 1, 11))
+    # psi_5 .. psi_13 and no step; 12 + 9 * 8 - 2 = 82
+    assert divpoly.step_plan(4) == (4, tuple(divpoly.psi_entry(m, -1) for m in range(5, 14)),
+                                    (), (82,))
     for ell in (0, -3):
         with pytest.raises(ValueError):
             divpoly.step_plan(ell)
@@ -136,14 +142,20 @@ def test_step_plan_worked_example():
 
 
 def _walk_schedule(ell):
-    """The base the doubling plan of both backends ends on for psi_ell;
-    each step's bill is that of its 10 outputs when nothing vanishes."""
-    base, top, steps, bills = divpoly.step_plan(ell)
-    assert 1 <= base <= 5 and top == 9 and len(bills) == len(steps)
-    for step, bill in zip(steps, bills):
-        new_base = _output(step[0][1])
+    """The base the doubling plan of both backends ends on for psi_ell.
+    The base window psi_5 .. psi_{k+9} bills 12 for psi_3 and psi_4 and its
+    entries' bills when nothing vanishes, and each step that of its 10
+    outputs; with w's 3, that is at most 80 per bit of ell."""
+    k, base_window, steps, bills = divpoly.step_plan(ell)
+    assert 1 <= k <= 5 and len(bills) == len(steps) + 1
+    assert base_window == tuple(divpoly.psi_entry(m, -1) for m in range(5, k + 10))
+    assert bills[0] == 12 + sum(map(_nonzero_bill, range(5, k + 10))), ell
+    assert 3 + sum(bills) <= 80 * max(1, (ell - 1).bit_length()), ell
+    base = k
+    for step, bill in zip(steps, bills[1:]):
+        new_base = _output(step[0])
         assert new_base in (2 * base + 4, 2 * base + 5), (ell, base, new_base)
-        assert step == tuple((i, divpoly.psi_entry(new_base + i, base)) for i in range(10))
+        assert step == tuple(divpoly.psi_entry(new_base + i, base) for i in range(10))
         assert bill == sum(map(_nonzero_bill, range(new_base, new_base + 10))), (ell, new_base)
         base = new_base
     return base
@@ -160,33 +172,40 @@ def test_schedule_reaches_large_ell(ell):
 
 
 def test_pruned_plan_keeps_what_it_reads():
-    """The batch path's plan is the full plan cut to a subset that computes
-    every entry a later step reads, and its walk ends on psi_ell alone."""
+    """The batch path's plan is the full plan cut to a subset of each step's
+    outputs, each window dense: every kept entry reads only ranks below the
+    previous step's kept count (the first step, the base window psi_k ..
+    psi_{k+top}), and those hold the psi its recurrence reads.  The walk
+    ends on psi_ell alone."""
     for ell in range(1, 4097):
         k, top, steps = divpoly.pruned_plan(ell)
-        full_k, full_top, full, _ = divpoly.step_plan(ell)
-        assert k == full_k and top <= full_top and len(steps) == len(full)
-        have = set(range(top + 1))
+        full_k, _, full, _ = divpoly.step_plan(ell)
+        assert k == full_k and top <= 9 and len(steps) == len(full)
+        held = list(range(k, k + top + 1))  # the m of each psi_m in the window
         for keep, step in zip(steps, full):
-            for i, entry in keep:
-                assert entry == step[i][1]
-                is_g1, off, _ = entry
-                assert set(range(off, off + (4 if is_g1 else 5))) <= have, (ell, i)
-            have = {i for i, _ in keep}
-        assert have == {0}
-        assert (_output(steps[-1][0][1]) if steps else k) == ell
+            for is_g1, off, n in keep:
+                first, width = (n - 1, 4) if is_g1 else (n - 2, 5)
+                assert off + width <= len(held), (ell, n)
+                assert held[off:off + width] == list(range(first, first + width)), (ell, n)
+            held = [_output(entry) for entry in keep]
+            assert held == sorted(set(held)) and set(held) <= set(map(_output, step)), ell
+        assert held == [ell]
 
 
 def test_step_plan_matches_direct():
     """Every full step writes psi_base .. psi_{base+9} as psi_sequence does."""
     ctx, amb = make_ambient()
     ref = psiref.psi_sequence(amb, 1010)
-    for ell in (10, 11, 21, 202, 999):
-        k, top, steps, _ = divpoly.step_plan(ell)
-        win = ref[k + 1:k + top + 2]
+    for ell in (1, 5, 10, 11, 21, 202, 999):
+        k, base_window, steps, _ = divpoly.step_plan(ell)
+        psi = ref[:6]  # psi_{-1} .. psi_4
+        for entry in base_window:
+            psi.append(psiref._g(amb, psi, entry))
+        assert psi == ref[:k + 11], ell
+        win = psi[k + 1:]
         for step in steps:
-            win = [psiref._g(amb, win, entry) for _, entry in step]
-            base = _output(step[0][1])
+            win = [psiref._g(amb, win, entry) for entry in step]
+            base = _output(step[0])
             assert win == ref[base + 1:base + 11], (ell, base)
         assert win[0] == ref[ell + 1]
 
@@ -239,7 +258,7 @@ def _ticked_walk(ctx, E, x, ell, seen):
     """psi_ell and its count by the walk on TwistedValues, with Ambient
     ticking every product; seen collects 'zero in' when an entry reads a
     vanishing psi at an even index and 'zero out' when one vanishes."""
-    k, top, steps, _ = divpoly.step_plan(ell)
+    k, _, steps, _ = divpoly.step_plan(ell)
     amb = Ambient(ctx, E, x, MultCounter())
 
     def g(win, entry):
@@ -253,9 +272,10 @@ def _ticked_walk(ctx, E, x, ell, seen):
             seen.add("zero out")
         return out
 
-    value = divpoly._walk(psiref.psi_sequence(amb, k + top)[k + 1:], steps,
-                          lambda win, step: [g(win, entry) for _, entry in step])
-    return value, amb.ctr.count
+    win = psiref.psi_sequence(amb, k + 9)[k + 1:]
+    for step in steps:
+        win = [g(win, entry) for entry in step]
+    return win[0], amb.ctr.count
 
 
 def _billing_cases(p, rng):
@@ -276,8 +296,8 @@ def test_eval_bills_as_ticked_walk(p):
     that ticks each product, at tiny p (where psi_m vanish mid-walk), at
     large p, and on j = 0 and j = 1728 curves; a two-torsion x raises after
     billing w's 3 products.  An eval in which no psi vanishes, the common
-    case at large p, bills 3 + 12 for w, psi_3 and psi_4, the base window's
-    entries and the plan's step bills, at most 80 per bit of ell."""
+    case at large p, bills 3 for w and the plan's bills, at most 80 per bit
+    of ell."""
     ctx = FpContext(p)
     rng = random.Random(p)
     if p < 200:
@@ -299,9 +319,7 @@ def test_eval_bills_as_ticked_walk(p):
             assert (got, ctr.count) == (want.c, want_count), (E, x, ell)
             seen |= walk_seen
             if base_nonzero and not walk_seen:
-                k, _, _, bills = divpoly.step_plan(ell)
-                base = sum(map(_nonzero_bill, range(5, k + 10)))
-                assert ctr.count == 15 + base + sum(bills), (E, x, ell)
+                assert ctr.count == 3 + sum(divpoly.step_plan(ell)[3]), (E, x, ell)
                 assert ctr.count <= 80 * max(1, (ell - 1).bit_length()), (E, x, ell)
                 closed += 1
     if p < 200:
@@ -338,7 +356,7 @@ def test_kernel_int_mod_matches_int64_rem(p):
             t1, t2 = c3 * c1**3, c0 * c2**3
             want.append((t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p)
         for row, c in zip(rows, want):
-            assert _int_coefs(row, [(0, (True, 0, n))], row[4], p, half) == [c], (p, n, row)
+            assert _int_coefs(row, [(True, 0, n)], row[4], p, half, []) == [c], (p, n, row)
         for dtype in dtypes:
             cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
             lanes = _coef_g1(cols[:4], n, cols[4], p)
@@ -347,8 +365,8 @@ def test_kernel_int_mod_matches_int64_rem(p):
     # takes every row as one entry of a single run
     want = [(c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p for c0, c1, c2, c3, c4 in rows]
     run = [c for row in rows for c in row]
-    entries = [(i, (False, 5 * i, 2 + i % 2)) for i in range(len(rows))]
-    assert _int_coefs(run, entries, 0, p, half) == want, p
+    entries = [(False, 5 * i, 2 + i % 2) for i in range(len(rows))]
+    assert _int_coefs(run, entries, 0, p, half, []) == want, p
     for dtype in dtypes:
         lanes = _coef_g2([np.array(c, dtype=dtype) for c in zip(*rows)], p)
         assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype)
