@@ -260,6 +260,8 @@ def cmd_fp_experiment(args) -> list[dict]:
     ctx = _parse_prime(args.p)
     s = _serial(ctx, args.sigma)
     taus = _taus(args.taus) if args.taus is not None else [1, 2, 4, forgery.default_tau(ctx.p)]
+    if args.trials < 0:  # 0 is the exhaustive run, which a negative count would silently rerun
+        raise UsageError(f"--trials must be >= 0, got {args.trials}")
     rows = forgery.false_positive_experiment(
         ctx, s, taus, trials=args.trials, seed=_seed(args.seed), mode=args.mode)
     return [{

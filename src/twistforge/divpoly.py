@@ -6,16 +6,19 @@ function of n alone, so only the coefficient c is carried.  psi_l is
 produced by the windowed doubling schedule: a 10-tuple of consecutive psi
 values is doubled per step, each output entry made by the g1 or g2
 recurrence (at most 8 counted multiplications), hence at most 80
-multiplications per doubling.  One plan (`step_plan`) lists every entry as
-a plain psi_entry triple, the base window's included, and both backends
-share one psi_3/psi_4 formula, but each makes its entries its own way.  The
-billed scalar path computes an entry in Python's unbounded ints and reduces
-it once, since its largest product (about 155 bits below p = 2^31) costs
-less than a reduction per product.  The vectorised path walks the plan cut
-to the entries later steps read (`pruned_plan`), each window dense, and
-runs a coefficient kernel on arrays of lane_dtype(p), uint32 below
-p = 2^16 and int64 above, which must reduce after every product; no
-intermediate goes negative, so unsigned lanes never wrap.
+multiplications per doubling.  Both backends step down one chain of
+window bases (`_chain`) from one psi_3/psi_4 formula, but each makes its
+entries its own way.  The billed scalar path reads only the chain: it makes
+each step with one straight-line kernel (`_int_step`) in Python's unbounded
+ints, which forms the window's squares and cubes once and reduces each
+output once, since its largest product (about 155 bits below p = 2^31)
+costs less than a reduction per product; it builds a step's entries only
+to bill a step in which a psi vanishes.  The vectorised path walks the plan
+of every entry as a plain psi_entry triple (`step_plan`), cut to the
+entries later steps read (`pruned_plan`), each window dense, and runs a
+coefficient kernel on arrays of lane_dtype(p), uint32 below p = 2^16 and
+int64 above, which must reduce after every product; no intermediate goes
+negative, so unsigned lanes never wrap.
 """
 
 from __future__ import annotations
@@ -117,6 +120,41 @@ def _int_coefs(v, entries, w2: int, p: int, half: int, out: list) -> list[int]:
     return out
 
 
+def _int_step(v, odd: int, shift: int, w2: int, p: int, half: int) -> list[int]:
+    """The 10 coefficients that one doubling step makes from the window
+    v = psi_b .. psi_{b+9}, in Python ints, each reduced once; odd = b & 1
+    and the new base is 2b + 4 + shift.  This is `_int_coefs` over
+    `_step_entries(b, shift)`, written out: the g1 outputs read v[o..o+3]
+    for o = 1 .. 5 in both kinds, and the g2 outputs read v[o..o+4] for
+    o = shift .. shift + 4, so the squares and cubes are shared."""
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 = v
+    s2, s3, s4, s5, s6, s7 = v2 * v2, v3 * v3, v4 * v4, v5 * v5, v6 * v6, v7 * v7
+    c2, c3, c4, c5, c6, c7 = s2 * v2, s3 * v3, s4 * v4, s5 * v5, s6 * v6, s7 * v7
+    # g1 at o makes psi_{2n+1}, n = b + 1 + o; w^2 joins v_o c_{o+2} at odd n
+    if odd:
+        a1 = (v4 * c2 - v1 * c3 * w2) % p
+        a2 = (v5 * c3 * w2 - v2 * c4) % p
+        a3 = (v6 * c4 - v3 * c5 * w2) % p
+        a4 = (v7 * c5 * w2 - v4 * c6) % p
+        a5 = (v8 * c6 - v5 * c7 * w2) % p
+    else:
+        a1 = (v4 * c2 * w2 - v1 * c3) % p
+        a2 = (v5 * c3 - v2 * c4 * w2) % p
+        a3 = (v6 * c4 * w2 - v3 * c5) % p
+        a4 = (v7 * c5 - v4 * c6 * w2) % p
+        a5 = (v8 * c6 * w2 - v5 * c7) % p
+    # g2 at o makes psi_{2n}, n = b + 2 + o
+    d1 = (s2 * v5 - v1 * s4) * v3 * half % p
+    d2 = (s3 * v6 - v2 * s5) * v4 * half % p
+    d3 = (s4 * v7 - v3 * s6) * v5 * half % p
+    d4 = (s5 * v8 - v4 * s7) * v6 * half % p
+    if shift:
+        d5 = (s6 * v9 - v5 * v8 * v8) * v7 * half % p
+        return [a1, d1, a2, d2, a3, d3, a4, d4, a5, d5]
+    d0 = (v1 * v1 * v4 - v0 * s3) * v2 * half % p
+    return [d0, a1, d1, a2, d2, a3, d3, a4, d4, a5]
+
+
 def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
     """The multiplications of one entry from the run v into its output c,
     as ticking every product of the F_p[y]/(y^2 - w) arithmetic counts them
@@ -138,35 +176,69 @@ def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
     return 7 if c else 5
 
 
-@lru_cache(maxsize=256)  # the oracle walks the same plan at every x
-def step_plan(ell: int) -> tuple[int, tuple[tuple[bool, int, int], ...],
-                                 tuple[tuple[tuple[bool, int, int], ...], ...],
-                                 tuple[int, ...]]:
-    """The windowed doubling schedule of psi_ell.
+def _zero_free_bill(entries) -> int:
+    """The bill of a run of entries when nothing it reads or writes
+    vanishes."""
+    nonzero = (1,) * 16  # psi_{-1} .. psi_14, the longest run
+    return sum(_entry_bill(entry, nonzero, 1) for entry in entries)
 
-    The chain sigma_0 = ell > sigma_1 > ... > sigma_r = k <= 5 steps down by
-    sigma_{i+1} = (sigma_i - 4) // 2, since one doubling step maps the window
-    based at b to the one based at 2b + 4 or 2b + 5.  Returns k; the base,
-    the psi_entry of psi_5 .. psi_{k+9} from psi_{-1}, each reading those
-    before it; per step, first to last, the psi_entry of each of its 10
-    outputs from the window before; and the bills when nothing that a run
-    reads or writes vanishes: the base's, with the 12 of psi_3 and psi_4,
-    then each step's.
+
+def _chain(ell: int) -> tuple[int, list[tuple[int, int]]]:
+    """The doubling chain of psi_ell: k <= 5, then the (b, shift) of each
+    step, first to last, which maps the window based at b to the one based
+    at 2b + 4 + shift.
+
+    The chain sigma_0 = ell > sigma_1 > ... > sigma_r = k steps down by
+    sigma_{i+1} = (sigma_i - 4) // 2 while sigma_i > 5, so the shift of the
+    step onto sigma_i is the parity of sigma_i.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    sigmas = [ell]
-    while sigmas[-1] > 5:
-        sigmas.append((sigmas[-1] - 4) // 2)
-    bases = sigmas[::-1]  # k, then the base after each step, ending on ell
-    k = bases[0]
+    steps = []
+    while ell > 5:
+        b = (ell - 4) // 2
+        steps.append((b, ell & 1))
+        ell = b
+    steps.reverse()
+    return ell, steps
+
+
+def _step_entries(b: int, shift: int) -> tuple[tuple[bool, int, int], ...]:
+    """The psi_entry of each of the 10 outputs of the step from the window
+    based at b, first to last."""
+    new = 2 * b + 4 + shift
+    return tuple(psi_entry(new + i, b) for i in range(10))
+
+
+@lru_cache(maxsize=5)  # one entry per k <= 5
+def _base(k: int) -> tuple[tuple[tuple[bool, int, int], ...], int]:
+    """The psi_entry of psi_5 .. psi_{k+9} from psi_{-1}, each reading those
+    before it, and their bill with the 12 of psi_3 and psi_4 when nothing
+    vanishes."""
     base = tuple(psi_entry(m, -1) for m in range(5, k + 10))
-    steps = tuple(tuple(psi_entry(new + i, b) for i in range(10))
-                  for b, new in zip(bases, bases[1:]))
-    nonzero = (1,) * (k + 11)  # psi_{-1} .. psi_{k+9}, the longest run
-    bills = [sum(_entry_bill(entry, nonzero, 1) for entry in run) for run in (base, *steps)]
-    bills[0] += 12
-    return k, base, steps, tuple(bills)
+    return base, 12 + _zero_free_bill(base)
+
+
+# the bill of a zero-free step, by the parity of its base b and its shift
+_STEP_BILLS = tuple(tuple(_zero_free_bill(_step_entries(b, shift)) for shift in (0, 1))
+                    for b in (0, 1))
+
+
+def step_plan(ell: int) -> tuple[int, tuple[tuple[bool, int, int], ...],
+                                 tuple[tuple[tuple[bool, int, int], ...], ...],
+                                 tuple[int, ...]]:
+    """The windowed doubling schedule of psi_ell, as plain entries.
+
+    Returns k (`_chain`); the base, the psi_entry of psi_5 .. psi_{k+9} from
+    psi_{-1}, each reading those before it; per step, first to last, the
+    psi_entry of each of its 10 outputs from the window before; and the
+    bills when nothing that a run reads or writes vanishes: the base's, with
+    the 12 of psi_3 and psi_4, then each step's.
+    """
+    k, chain = _chain(ell)
+    base, base_bill = _base(k)
+    steps = tuple(_step_entries(b, shift) for b, shift in chain)
+    return k, base, steps, (base_bill, *map(_zero_free_bill, steps))
 
 
 def eval_division_poly(
@@ -179,14 +251,16 @@ def eval_division_poly(
     """The coefficient c of psi_ell(A, B, x) = c * y^eps via the doubling
     schedule (eps = 1 iff ell is even); O(log ell) multiplications.
 
-    Each entry is a Python int reduced once (`_int_coefs`).  Each step
-    computes all 10 entries, as the 80-per-bit budget bills them, and the
-    bill is what ticking every product counts (`_entry_bill`): per run, the
-    base window or a step, the plan's bill when no entry that the run reads
-    or writes vanishes, which is the common case, and otherwise the rule
-    entry by entry.  So a zero-free eval bills 3 + sum(step_plan(ell)[3]).
+    The base window is `_int_coefs` over `_base(k)`, and each step of the
+    chain (`_chain`) one `_int_step`, all 10 entries as the 80-per-bit
+    budget bills them.  The bill is what ticking every product counts: per
+    run, the base window or a step, the zero-free bill of `_base` or of the
+    step's kind (`_STEP_BILLS`) when no entry that the run reads or writes
+    vanishes, which is the common case, and otherwise `_entry_bill` entry
+    by entry.  So a zero-free eval bills 3 + sum(step_plan(ell)[3]).
     """
-    k, base, steps, bills = step_plan(ell)
+    k, chain = _chain(ell)
+    base, bill = _base(k)
     p = ctx.p
     x %= p
     ctr.tick(3)  # x^2, x^3 and A x, the products of w
@@ -200,15 +274,13 @@ def eval_division_poly(
     # no entry reads psi_{-1} or psi_0 = 0
     if 0 in psi[2:]:
         bill = 12 + sum(_entry_bill(entry, psi, c) for entry, c in zip(base, psi[6:]))
-    else:
-        bill = bills[0]
     win = psi[k + 1:]
-    for step, step_bill in zip(steps, bills[1:]):
-        new = _int_coefs(win, step, w2, p, half, [])
+    for b, shift in chain:
+        new = _int_step(win, b & 1, shift, w2, p, half)
         if 0 in win or 0 in new:
-            bill += sum(_entry_bill(entry, win, c) for entry, c in zip(step, new))
+            bill += sum(_entry_bill(entry, win, c) for entry, c in zip(_step_entries(b, shift), new))
         else:
-            bill += step_bill
+            bill += _STEP_BILLS[b & 1][shift]
         win = new
     ctr.tick(bill)
     return win[0]
@@ -216,9 +288,9 @@ def eval_division_poly(
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation over many (A, B, x) ambients at once.  Same base
-# formula, step plan and walk as above, on the coefficient kernel.  The largest
-# intermediate is (p - 1)^2 + p (in g2), below 2^32 for p < 2^16 and below
-# 2^62 for p < 2^31.
+# formula and chain as above, walked entry by entry over the plan on the
+# coefficient kernel.  The largest intermediate is (p - 1)^2 + p (in g2),
+# below 2^32 for p < 2^16 and below 2^62 for p < 2^31.
 # ---------------------------------------------------------------------------
 
 

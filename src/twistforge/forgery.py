@@ -196,7 +196,7 @@ def false_positive_experiment(
 ) -> list[FalsePositiveRow]:
     """Measured F = 0 rates among non-target classes with random start x.
 
-    trials <= 0 means 'all non-target classes, start x = 0' (exhaustive).
+    trials = 0 means 'all non-target classes, start x = 0' (exhaustive).
     tau = 0 rows report rate 1 by convention (empty conjunction).
     """
     import random

@@ -250,6 +250,8 @@ def test_usage_errors_exit_2(capsys):
         ["fp-experiment", *oracle, "--taus", "-1"],
         ["fp-experiment", *oracle, "--taus", "a"],
         ["fp-experiment", *oracle, "--taus", ""],
+        # --trials 0 is the exhaustive run
+        ["fp-experiment", *oracle, "--trials", "-3"],
         ["audit", *oracle, "--samples", "0"],
         ["audit", *oracle, "--samples", "-3"],
         ["estimate", "--bits", "1022"],

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import _coef_g1, _coef_g2, _int_coefs
+from twistforge.divpoly import _STEP_BILLS, _coef_g1, _coef_g2, _int_coefs, _int_step
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -370,6 +370,52 @@ def test_kernel_int_mod_matches_int64_rem(p):
     for dtype in dtypes:
         lanes = _coef_g2([np.array(c, dtype=dtype) for c in zip(*rows)], p)
         assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype)
+
+
+def _steps_by_kind(ells):
+    """(b, shift, entries, bill) of every step of step_plan(ell) for ell in
+    ells, by kind: the parity of the window base b, and the shift of the
+    new base 2b + 4 + shift."""
+    kinds = {}
+    for ell in ells:
+        k, _, steps, bills = divpoly.step_plan(ell)
+        b = k
+        for step, bill in zip(steps, bills[1:]):
+            shift = _output(step[0]) - 2 * b - 4
+            kinds.setdefault((b & 1, shift), []).append((b, shift, step, bill))
+            b = _output(step[0])
+    return kinds
+
+
+@pytest.mark.parametrize("p", [101, 65537, 2**20 + 7, 2**31 - 1])
+def test_int_step_matches_int_coefs(p):
+    """The straight-line step is `_int_coefs` over the plan's entries of
+    that step, for each of the four kinds, on random windows (half of them
+    near p, where the products are largest) and on windows with a 0 at
+    each single position."""
+    rng = random.Random(p)
+    half = (p + 1) // 2
+    kinds = _steps_by_kind(range(6, 200))
+    assert sorted(kinds) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for kind, steps in kinds.items():
+        for b, shift, step, _ in steps[:3]:
+            windows = [[rng.randrange(p) for _ in range(10)] for _ in range(100)]
+            windows += [[rng.randrange(p - 64, p) for _ in range(10)] for _ in range(100)]
+            for i in range(10):
+                windows += [v[:i] + [0] + v[i + 1:] for v in windows[:5]]
+            for v in windows:
+                w2 = rng.choice((rng.randrange(p), p - 1))
+                want = _int_coefs(v, step, w2, p, half, [])
+                assert _int_step(v, b & 1, shift, w2, p, half) == want, (p, kind, b, v, w2)
+
+
+def test_step_bills_by_kind():
+    """A zero-free step bills by its kind alone: the bill of each kind is
+    the plan's bill of every step of that kind, for every ell <= 4096."""
+    kinds = _steps_by_kind(range(1, 4097))
+    assert sorted(kinds) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (odd, shift), steps in kinds.items():
+        assert {bill for *_, bill in steps} == {_STEP_BILLS[odd][shift]}, (odd, shift)
 
 
 def test_batch_matches_scalar():
