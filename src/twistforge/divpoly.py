@@ -6,19 +6,20 @@ function of n alone, so only the coefficient c is carried.  psi_l is
 produced by the windowed doubling schedule: a 10-tuple of consecutive psi
 values is doubled per step, each output entry made by the g1 or g2
 recurrence (at most 8 counted multiplications), hence at most 80
-multiplications per doubling.  Both backends step down one chain of
-window bases (`_chain`) from one psi_3/psi_4 formula, but each makes its
-entries its own way.  The billed scalar path reads only the chain: it makes
-each step with one straight-line kernel (`_int_step`) in Python's unbounded
-ints, which forms the window's squares and cubes once and reduces each
-output once, since its largest product (about 155 bits below p = 2^31)
-costs less than a reduction per product; it builds a step's entries only
-to bill a step in which a psi vanishes.  The vectorised path walks the plan
-of every entry as a plain psi_entry triple (`step_plan`), cut to the
-entries later steps read (`pruned_plan`), each window dense, and runs a
-coefficient kernel on arrays of lane_dtype(p), uint32 below p = 2^16 and
-int64 above, which must reduce after every product; no intermediate goes
-negative, so unsigned lanes never wrap.
+multiplications per doubling.  The plan of psi_l is its chain of window
+bases (`_chain`) over constant tables: each step is one of four kinds, the
+parity of its base times its shift, whose 10 entries are `_STEPS`, and the
+base window is a prefix of `_BASE`.  Both backends share the chain, the
+tables and one psi_3/psi_4 formula, but each makes its entries its own
+way.  The billed scalar path makes each step with one straight-line kernel
+(`_int_step`) in Python's unbounded ints, which forms the window's squares
+and cubes once and reduces each output once, since its largest product
+(about 155 bits below p = 2^31) costs less than a reduction per product.
+The vectorised path walks the table entries that later steps read
+(`pruned_plan`), each window dense, with a coefficient kernel on arrays of
+lane_dtype(p), uint32 below p = 2^16 and int64 above, which must reduce
+after every product; no intermediate goes negative, so unsigned lanes
+never wrap.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ if TYPE_CHECKING:
 def psi_entry(m: int, k: int) -> tuple[bool, int, int]:
     """How psi_m is made from a run of consecutive psi values starting at
     psi_k: whether it is a g1 output (m odd) or a g2 output (m even), the
-    offset of its first input in the run, and the n of the recurrence."""
+    offset of its first input in the run, and the parity of the n of the
+    recurrence, all that the kernels and the bill rule read of n."""
     if m % 2:
         n = (m - 1) // 2
-        return True, n - 1 - k, n
+        return True, n - 1 - k, n & 1
     n = m // 2
-    return False, n - 2 - k, n
+    return False, n - 2 - k, n & 1
 
 
 def _rem(c, p):
@@ -76,17 +78,18 @@ def _psi3_psi4(mul, x, A, B, p):
     yield _rem(2 * inner, p)
 
 
-def _coef_g1(v, n: int, w2, p: int):
+def _coef_g1(v, odd: int, w2, p: int):
     """Coefficient of psi_{2n+1} from those of psi_{n-1}..psi_{n+2}, as lane
-    arrays; w2 = w^2 is the y^4 of the two even-index factors.  Every
-    difference is taken after adding p, so unsigned lanes never wrap."""
+    arrays, with odd = n & 1; w2 = w^2 is the y^4 of the two even-index
+    factors.  Every difference is taken after adding p, so unsigned lanes
+    never wrap."""
     c_nm1, c_n, c_np1, c_np2 = v
     t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
     t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
-    if n % 2 == 0:
-        t1 = _rem(t1 * w2, p)
-    else:
+    if odd:
         t2 = _rem(t2 * w2, p)
+    else:
+        t1 = _rem(t1 * w2, p)
     return _rem(t1 + p - t2, p)
 
 
@@ -107,10 +110,10 @@ def _int_coefs(v, entries, w2: int, p: int, half: int, out: list) -> list[int]:
     entry; half = 1/2 mod p.  With out = v each entry reads those before
     it.  The same g1 and g2 as `_coef_g1` and `_coef_g2`, with w^2 on the
     side of the two even-index factors and psi_2 = 2y divided out as 1/2."""
-    for is_g1, off, n in entries:
+    for is_g1, off, odd in entries:
         if is_g1:
             a, b, c, d = v[off:off + 4]
-            if n & 1:
+            if odd:
                 out.append((d * b * b * b - a * c * c * c * w2) % p)
             else:
                 out.append((d * b * b * b * w2 - a * c * c * c) % p)
@@ -124,7 +127,7 @@ def _int_step(v, odd: int, shift: int, w2: int, p: int, half: int) -> list[int]:
     """The 10 coefficients that one doubling step makes from the window
     v = psi_b .. psi_{b+9}, in Python ints, each reduced once; odd = b & 1
     and the new base is 2b + 4 + shift.  This is `_int_coefs` over
-    `_step_entries(b, shift)`, written out: the g1 outputs read v[o..o+3]
+    `_STEPS[odd][shift]`, written out: the g1 outputs read v[o..o+3]
     for o = 1 .. 5 in both kinds, and the g2 outputs read v[o..o+4] for
     o = shift .. shift + 4, so the squares and cubes are shared."""
     v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 = v
@@ -162,16 +165,16 @@ def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
     carry a y (so are nonzero at an even index), and 1 for the division by
     psi_2 of a nonzero value.  That is 8, or 7 for psi_2n at even n, when
     nothing vanishes, and less where an input or the output does."""
-    is_g1, off, n = entry
+    is_g1, off, odd = entry
     if is_g1:
         # ya (cubed) and yb are the factors that carry a y: squaring a
         # nonzero ya takes a w, and so does its cube times a nonzero yb
-        ya, yb = (v[off + 2], v[off]) if n & 1 else (v[off + 1], v[off + 3])
+        ya, yb = (v[off + 2], v[off]) if odd else (v[off + 1], v[off + 3])
         return 8 if ya and yb else 7 if ya else 6
     # a nonzero output is divided by psi_2, one product; at odd n squaring
     # a nonzero psi_{n-1} or psi_{n+1} takes a w, at even n the product by
     # psi_n does when the output is nonzero
-    if n & 1:
+    if odd:
         return 5 + (v[off + 1] != 0) + (v[off + 3] != 0) + (c != 0)
     return 7 if c else 5
 
@@ -203,42 +206,16 @@ def _chain(ell: int) -> tuple[int, list[tuple[int, int]]]:
     return ell, steps
 
 
-def _step_entries(b: int, shift: int) -> tuple[tuple[bool, int, int], ...]:
-    """The psi_entry of each of the 10 outputs of the step from the window
-    based at b, first to last."""
-    new = 2 * b + 4 + shift
-    return tuple(psi_entry(new + i, b) for i in range(10))
-
-
-@lru_cache(maxsize=5)  # one entry per k <= 5
-def _base(k: int) -> tuple[tuple[tuple[bool, int, int], ...], int]:
-    """The psi_entry of psi_5 .. psi_{k+9} from psi_{-1}, each reading those
-    before it, and their bill with the 12 of psi_3 and psi_4 when nothing
-    vanishes."""
-    base = tuple(psi_entry(m, -1) for m in range(5, k + 10))
-    return base, 12 + _zero_free_bill(base)
-
-
-# the bill of a zero-free step, by the parity of its base b and its shift
-_STEP_BILLS = tuple(tuple(_zero_free_bill(_step_entries(b, shift)) for shift in (0, 1))
-                    for b in (0, 1))
-
-
-def step_plan(ell: int) -> tuple[int, tuple[tuple[bool, int, int], ...],
-                                 tuple[tuple[tuple[bool, int, int], ...], ...],
-                                 tuple[int, ...]]:
-    """The windowed doubling schedule of psi_ell, as plain entries.
-
-    Returns k (`_chain`); the base, the psi_entry of psi_5 .. psi_{k+9} from
-    psi_{-1}, each reading those before it; per step, first to last, the
-    psi_entry of each of its 10 outputs from the window before; and the
-    bills when nothing that a run reads or writes vanishes: the base's, with
-    the 12 of psi_3 and psi_4, then each step's.
-    """
-    k, chain = _chain(ell)
-    base, base_bill = _base(k)
-    steps = tuple(_step_entries(b, shift) for b, shift in chain)
-    return k, base, steps, (base_bill, *map(_zero_free_bill, steps))
+# Every step is one of four kinds, _STEPS[b & 1][shift]: the window based
+# at b makes psi_{2b+4+shift} .. psi_{2b+13+shift}, with offsets free of b
+# and parities fixed by b's.  _BASE makes psi_5 .. psi_14 from psi_{-1}; the
+# base window psi_5 .. psi_{k+9} is _BASE[:k + 5].  Their zero-free bills:
+# _BASE_BILLS[k], with the 12 of psi_3 and psi_4, and each kind's.
+_STEPS = tuple(tuple(tuple(psi_entry(2 * b + 4 + shift + i, b) for i in range(10))
+                     for shift in (0, 1)) for b in (0, 1))
+_BASE = tuple(psi_entry(m, -1) for m in range(5, 15))
+_BASE_BILLS = tuple(12 + _zero_free_bill(_BASE[:k + 5]) for k in range(6))
+_STEP_BILLS = tuple(tuple(map(_zero_free_bill, kind)) for kind in _STEPS)
 
 
 def eval_division_poly(
@@ -251,16 +228,17 @@ def eval_division_poly(
     """The coefficient c of psi_ell(A, B, x) = c * y^eps via the doubling
     schedule (eps = 1 iff ell is even); O(log ell) multiplications.
 
-    The base window is `_int_coefs` over `_base(k)`, and each step of the
-    chain (`_chain`) one `_int_step`, all 10 entries as the 80-per-bit
+    The base window is `_int_coefs` over `_BASE[:k + 5]`, and each step of
+    the chain (`_chain`) one `_int_step`, all 10 entries as the 80-per-bit
     budget bills them.  The bill is what ticking every product counts: per
-    run, the base window or a step, the zero-free bill of `_base` or of the
-    step's kind (`_STEP_BILLS`) when no entry that the run reads or writes
-    vanishes, which is the common case, and otherwise `_entry_bill` entry
-    by entry.  So a zero-free eval bills 3 + sum(step_plan(ell)[3]).
+    run, the base window or a step, its zero-free bill (`_BASE_BILLS[k]`,
+    or `_STEP_BILLS` of the step's kind) when no entry that the run reads
+    or writes vanishes, which is the common case, and otherwise
+    `_entry_bill` over the run's table entries.  So a zero-free eval bills
+    3 + _BASE_BILLS[k] plus the `_STEP_BILLS` of its chain.
     """
     k, chain = _chain(ell)
-    base, bill = _base(k)
+    base, bill = _BASE[:k + 5], _BASE_BILLS[k]
     p = ctx.p
     x %= p
     ctr.tick(3)  # x^2, x^3 and A x, the products of w
@@ -276,11 +254,12 @@ def eval_division_poly(
         bill = 12 + sum(_entry_bill(entry, psi, c) for entry, c in zip(base, psi[6:]))
     win = psi[k + 1:]
     for b, shift in chain:
-        new = _int_step(win, b & 1, shift, w2, p, half)
+        odd = b & 1
+        new = _int_step(win, odd, shift, w2, p, half)
         if 0 in win or 0 in new:
-            bill += sum(_entry_bill(entry, win, c) for entry, c in zip(_step_entries(b, shift), new))
+            bill += sum(_entry_bill(entry, win, c) for entry, c in zip(_STEPS[odd][shift], new))
         else:
-            bill += _STEP_BILLS[b & 1][shift]
+            bill += _STEP_BILLS[odd][shift]
         win = new
     ctr.tick(bill)
     return win[0]
@@ -313,8 +292,9 @@ def _vec_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
 def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[bool, int, int], ...], ...]]:
-    """step_plan(ell) cut down to the entries the walk needs, each window
-    dense.
+    """The doubling plan of psi_ell, `_chain(ell)` over `_STEPS`, cut down
+    to the entries the walk needs, each window dense: k, top and the kept
+    entries of each step, first to last.
 
     Walking the steps backwards, the last keeps entry 0 only and each
     earlier one the entries a later one reads; a kept entry's offset is
@@ -323,12 +303,12 @@ def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[bool, int, int], 
     psi_k .. psi_{k+top} as it is; with no step (ell <= 5) top is 0, for
     psi_ell itself.
     """
-    k, _, full, _ = step_plan(ell)
+    k, chain = _chain(ell)
     need, steps = [0], []
-    for step in reversed(full):
+    for b, shift in reversed(chain):
         if steps:  # the later step reads this one's kept entries by rank
-            steps[-1] = tuple((is_g1, need.index(off), n) for is_g1, off, n in steps[-1])
-        steps.append(tuple(step[i] for i in need))
+            steps[-1] = tuple((is_g1, need.index(off), odd) for is_g1, off, odd in steps[-1])
+        steps.append(tuple(_STEPS[b & 1][shift][i] for i in need))
         need = sorted({off + d for is_g1, off, _ in steps[-1] for d in range(4 if is_g1 else 5)})
     return k, need[-1], tuple(reversed(steps))
 
@@ -347,9 +327,9 @@ class BatchAmbient:
         self.w2 = _rem(self.w * self.w, p)
 
     def _g(self, v: list[np.ndarray], entry: tuple[bool, int, int]) -> np.ndarray:
-        is_g1, off, n = entry
+        is_g1, off, odd = entry
         if is_g1:
-            return _coef_g1(v[off:off + 4], n, self.w2, self.p)
+            return _coef_g1(v[off:off + 4], odd, self.w2, self.p)
         return _coef_g2(v[off:off + 5], self.p)
 
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:

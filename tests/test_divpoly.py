@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import _STEP_BILLS, _coef_g1, _coef_g2, _int_coefs, _int_step
+from twistforge.divpoly import (_BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef_g1, _coef_g2,
+                                _int_coefs, _int_step)
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -109,10 +110,43 @@ def test_g1_g2_against_direct():
         psiref.g2(amb, tuple(psi[2:6]))
 
 
-def _output(entry):
-    """The m of the psi_m that a psi_entry computes."""
-    is_g1, _, n = entry
+def _made(held, entry):
+    """The m of the psi_m that an entry makes from a run whose psi indices
+    are held.  Its slice of the run must be consecutive indices, psi_{n-1}
+    .. psi_{n+2} for g1 and psi_{n-2} .. psi_{n+2} for g2, so n comes from
+    the run, and the entry's parity field must be n & 1."""
+    is_g1, off, odd = entry
+    width = 4 if is_g1 else 5
+    run = held[off:off + width] if off >= 0 else []
+    assert len(run) == width and run == list(range(run[0], run[0] + width)), (held, entry)
+    n = run[1] if is_g1 else run[2]
+    assert odd == n & 1, (held, entry)
     return 2 * n + 1 if is_g1 else 2 * n
+
+
+def _symbolic_walk(ell):
+    """The doubling plan of psi_ell, `_chain` over `_BASE` and `_STEPS`,
+    walked on psi indices: k, then per step (b, shift, entries, the m of
+    each output).  The base window makes psi_5 .. psi_{k+9}, each entry
+    reading those before it, and each step the 10 psi from the window's
+    base b: its entries are psi_entry's for them, and they are consecutive
+    from the new base 2b + 4 + shift."""
+    k, chain = divpoly._chain(ell)
+    held = list(range(-1, 5))  # psi_{-1} .. psi_4
+    for entry in _BASE[:k + 5]:
+        held.append(_made(held, entry))
+    assert held == list(range(-1, k + 10)), ell
+    held, steps = held[k + 1:], []
+    for b, shift in chain:
+        new = 2 * b + 4 + shift
+        assert held[0] == b and shift in (0, 1), (ell, b, shift)
+        entries = _STEPS[b & 1][shift]
+        assert tuple(divpoly.psi_entry(new + i, b) for i in range(10)) == entries, (ell, b)
+        held = [_made(held, entry) for entry in entries]
+        assert held == list(range(new, new + 10)), (ell, b)
+        steps.append((b, shift, entries, held))
+    assert held[0] == ell
+    return k, steps
 
 
 def _nonzero_bill(m):
@@ -124,19 +158,18 @@ def test_step_plan_worked_example():
     # 21 = 2 * 8 + 5 and 8 = 2 * 2 + 4; the base psi_5 .. psi_11 holds psi_8,
     # psi_8 .. psi_17 holds psi_8, psi_12 and psi_16, psi_21 .. psi_30 holds
     # psi_24 and psi_28; 12 + 7 * 8 - 1 = 67
-    k, base, steps, bills = divpoly.step_plan(21)
-    assert (k, len(steps), bills) == (2, 2, (67, 77, 78))
-    assert base == ((True, 2, 2), (False, 2, 3), (True, 3, 3), (False, 3, 4),
-                    (True, 4, 4), (False, 4, 5), (True, 5, 5))
-    for step, (b, new_base) in zip(steps, ((2, 8), (8, 21))):
-        assert step == tuple(divpoly.psi_entry(new_base + i, b) for i in range(10))
-    assert steps[1][:2] == ((True, 1, 10), (False, 1, 11))
+    k, steps = _symbolic_walk(21)
+    assert (k, [(b, shift) for b, shift, *_ in steps]) == (2, [(2, 0), (8, 1)])
+    assert (_BASE_BILLS[k], *(_STEP_BILLS[b & 1][shift] for b, shift, *_ in steps)) == (67, 77, 78)
+    assert _BASE[:k + 5] == ((True, 2, 0), (False, 2, 1), (True, 3, 1), (False, 3, 0),
+                             (True, 4, 0), (False, 4, 1), (True, 5, 1))
+    assert _BASE == tuple(divpoly.psi_entry(m, -1) for m in range(5, 15))
+    assert steps[1][2][:2] == ((True, 1, 0), (False, 1, 1))
     # psi_5 .. psi_13 and no step; 12 + 9 * 8 - 2 = 82
-    assert divpoly.step_plan(4) == (4, tuple(divpoly.psi_entry(m, -1) for m in range(5, 14)),
-                                    (), (82,))
+    assert _symbolic_walk(4) == (4, []) and _BASE_BILLS[4] == 82
     for ell in (0, -3):
         with pytest.raises(ValueError):
-            divpoly.step_plan(ell)
+            divpoly._chain(ell)
         with pytest.raises(ValueError):
             divpoly.pruned_plan(ell)
 
@@ -146,19 +179,15 @@ def _walk_schedule(ell):
     The base window psi_5 .. psi_{k+9} bills 12 for psi_3 and psi_4 and its
     entries' bills when nothing vanishes, and each step that of its 10
     outputs; with w's 3, that is at most 80 per bit of ell."""
-    k, base_window, steps, bills = divpoly.step_plan(ell)
-    assert 1 <= k <= 5 and len(bills) == len(steps) + 1
-    assert base_window == tuple(divpoly.psi_entry(m, -1) for m in range(5, k + 10))
-    assert bills[0] == 12 + sum(map(_nonzero_bill, range(5, k + 10))), ell
-    assert 3 + sum(bills) <= 80 * max(1, (ell - 1).bit_length()), ell
-    base = k
-    for step, bill in zip(steps, bills[1:]):
-        new_base = _output(step[0])
-        assert new_base in (2 * base + 4, 2 * base + 5), (ell, base, new_base)
-        assert step == tuple(divpoly.psi_entry(new_base + i, base) for i in range(10))
-        assert bill == sum(map(_nonzero_bill, range(new_base, new_base + 10))), (ell, new_base)
-        base = new_base
-    return base
+    k, steps = _symbolic_walk(ell)
+    assert 1 <= k <= 5, ell
+    assert _BASE_BILLS[k] == 12 + sum(map(_nonzero_bill, range(5, k + 10))), ell
+    bill = 3 + _BASE_BILLS[k]
+    for b, shift, _, held in steps:
+        assert _STEP_BILLS[b & 1][shift] == sum(map(_nonzero_bill, held)), (ell, b)
+        bill += _STEP_BILLS[b & 1][shift]
+    assert bill <= 80 * max(1, (ell - 1).bit_length()), ell
+    return steps[-1][3][0] if steps else k
 
 
 def test_schedule_reaches_every_ell():
@@ -179,16 +208,12 @@ def test_pruned_plan_keeps_what_it_reads():
     ends on psi_ell alone."""
     for ell in range(1, 4097):
         k, top, steps = divpoly.pruned_plan(ell)
-        full_k, _, full, _ = divpoly.step_plan(ell)
+        full_k, full = _symbolic_walk(ell)
         assert k == full_k and top <= 9 and len(steps) == len(full)
         held = list(range(k, k + top + 1))  # the m of each psi_m in the window
-        for keep, step in zip(steps, full):
-            for is_g1, off, n in keep:
-                first, width = (n - 1, 4) if is_g1 else (n - 2, 5)
-                assert off + width <= len(held), (ell, n)
-                assert held[off:off + width] == list(range(first, first + width)), (ell, n)
-            held = [_output(entry) for entry in keep]
-            assert held == sorted(set(held)) and set(held) <= set(map(_output, step)), ell
+        for keep, (*_, outputs) in zip(steps, full):
+            held = [_made(held, entry) for entry in keep]
+            assert held == sorted(set(held)) and set(held) <= set(outputs), ell
         assert held == [ell]
 
 
@@ -197,15 +222,15 @@ def test_step_plan_matches_direct():
     ctx, amb = make_ambient()
     ref = psiref.psi_sequence(amb, 1010)
     for ell in (1, 5, 10, 11, 21, 202, 999):
-        k, base_window, steps, _ = divpoly.step_plan(ell)
+        k, chain = divpoly._chain(ell)
         psi = ref[:6]  # psi_{-1} .. psi_4
-        for entry in base_window:
+        for entry in _BASE[:k + 5]:
             psi.append(psiref._g(amb, psi, entry))
         assert psi == ref[:k + 11], ell
         win = psi[k + 1:]
-        for step in steps:
-            win = [psiref._g(amb, win, entry) for entry in step]
-            base = _output(step[0])
+        for b, shift in chain:
+            win = [psiref._g(amb, win, entry) for entry in _STEPS[b & 1][shift]]
+            base = 2 * b + 4 + shift
             assert win == ref[base + 1:base + 11], (ell, base)
         assert win[0] == ref[ell + 1]
 
@@ -258,14 +283,14 @@ def _ticked_walk(ctx, E, x, ell, seen):
     """psi_ell and its count by the walk on TwistedValues, with Ambient
     ticking every product; seen collects 'zero in' when an entry reads a
     vanishing psi at an even index and 'zero out' when one vanishes."""
-    k, _, steps, _ = divpoly.step_plan(ell)
+    k, chain = divpoly._chain(ell)
     amb = Ambient(ctx, E, x, MultCounter())
 
-    def g(win, entry):
+    def g(win, b, entry):
         out = psiref._g(amb, win, entry)
-        is_g1, off, n = entry
-        first = n - 1 if is_g1 else n - 2
-        if any(v.c == 0 and (first + d) % 2 == 0
+        is_g1, off, _ = entry
+        # win[i] is psi_{b+i}
+        if any(v.c == 0 and (b + off + d) % 2 == 0
                for d, v in enumerate(win[off:off + (4 if is_g1 else 5)])):
             seen.add("zero in")
         if out.c == 0:
@@ -273,8 +298,8 @@ def _ticked_walk(ctx, E, x, ell, seen):
         return out
 
     win = psiref.psi_sequence(amb, k + 9)[k + 1:]
-    for step in steps:
-        win = [g(win, entry) for entry in step]
+    for b, shift in chain:
+        win = [g(win, b, entry) for entry in _STEPS[b & 1][shift]]
     return win[0], amb.ctr.count
 
 
@@ -319,7 +344,9 @@ def test_eval_bills_as_ticked_walk(p):
             assert (got, ctr.count) == (want.c, want_count), (E, x, ell)
             seen |= walk_seen
             if base_nonzero and not walk_seen:
-                assert ctr.count == 3 + sum(divpoly.step_plan(ell)[3]), (E, x, ell)
+                k, chain = divpoly._chain(ell)
+                assert ctr.count == 3 + _BASE_BILLS[k] + sum(
+                    _STEP_BILLS[b & 1][shift] for b, shift in chain), (E, x, ell)
                 assert ctr.count <= 80 * max(1, (ell - 1).bit_length()), (E, x, ell)
                 closed += 1
     if p < 200:
@@ -350,22 +377,22 @@ def test_kernel_int_mod_matches_int64_rem(p):
     dtypes = [np.int64] + [np.uint32] * (p < 2**16)
     # g1 reads psi_{n-1}..psi_{n+2} and w^2; the parity of n picks the side
     # that takes w^2
-    for n in (2, 3):
+    for odd in (0, 1):
         want = []
         for c0, c1, c2, c3, w2 in rows:
             t1, t2 = c3 * c1**3, c0 * c2**3
-            want.append((t1 * w2 - t2) % p if n % 2 == 0 else (t1 - t2 * w2) % p)
+            want.append((t1 - t2 * w2) % p if odd else (t1 * w2 - t2) % p)
         for row, c in zip(rows, want):
-            assert _int_coefs(row, [(True, 0, n)], row[4], p, half, []) == [c], (p, n, row)
+            assert _int_coefs(row, [(True, 0, odd)], row[4], p, half, []) == [c], (p, odd, row)
         for dtype in dtypes:
             cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
-            lanes = _coef_g1(cols[:4], n, cols[4], p)
-            assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype, n)
+            lanes = _coef_g1(cols[:4], odd, cols[4], p)
+            assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype, odd)
     # g2 reads psi_{n-2}..psi_{n+2} and halves the result; the int step
     # takes every row as one entry of a single run
     want = [(c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p for c0, c1, c2, c3, c4 in rows]
     run = [c for row in rows for c in row]
-    entries = [(False, 5 * i, 2 + i % 2) for i in range(len(rows))]
+    entries = [(False, 5 * i, i % 2) for i in range(len(rows))]
     assert _int_coefs(run, entries, 0, p, half, []) == want, p
     for dtype in dtypes:
         lanes = _coef_g2([np.array(c, dtype=dtype) for c in zip(*rows)], p)
@@ -373,17 +400,14 @@ def test_kernel_int_mod_matches_int64_rem(p):
 
 
 def _steps_by_kind(ells):
-    """(b, shift, entries, bill) of every step of step_plan(ell) for ell in
-    ells, by kind: the parity of the window base b, and the shift of the
-    new base 2b + 4 + shift."""
+    """(b, shift, entries, zero-free bill) of every step of the symbolic
+    walk of psi_ell for ell in ells, by kind: the parity of the window base
+    b, and the shift of the new base 2b + 4 + shift."""
     kinds = {}
     for ell in ells:
-        k, _, steps, bills = divpoly.step_plan(ell)
-        b = k
-        for step, bill in zip(steps, bills[1:]):
-            shift = _output(step[0]) - 2 * b - 4
+        for b, shift, step, held in _symbolic_walk(ell)[1]:
+            bill = sum(map(_nonzero_bill, held))
             kinds.setdefault((b & 1, shift), []).append((b, shift, step, bill))
-            b = _output(step[0])
     return kinds
 
 
@@ -411,7 +435,7 @@ def test_int_step_matches_int_coefs(p):
 
 def test_step_bills_by_kind():
     """A zero-free step bills by its kind alone: the bill of each kind is
-    the plan's bill of every step of that kind, for every ell <= 4096."""
+    that of the outputs of every step of that kind, for every ell <= 4096."""
     kinds = _steps_by_kind(range(1, 4097))
     assert sorted(kinds) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for (odd, shift), steps in kinds.items():
