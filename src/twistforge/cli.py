@@ -96,7 +96,7 @@ def _emit(rows: list[dict], fmt: str, fh=None) -> None:
 
 def _cached_table(ctx: FpContext, path: str, with_structure: bool) -> list[dict] | None:
     """The enumerate rows cached at path, each cell as str(int(cell)) so a hit
-    prints what a fresh run prints; None (with a warning) if it is malformed."""
+    prints what a fresh run prints; None (with a warning) if malformed or unreadable."""
     try:
         with open(path, newline="") as fh:
             header, *cells = list(csv_mod.reader(fh)) or [None]  # an empty file has no header
@@ -110,7 +110,7 @@ def _cached_table(ctx: FpContext, path: str, with_structure: bool) -> list[dict]
         if any((int(r["m"]) > 0) != with_structure for r in rows):  # m = 0 marks no structure
             raise ValueError("group structure missing" if with_structure
                              else "unexpected group structure")
-    except (ValueError, csv_mod.Error) as exc:
+    except (OSError, ValueError, csv_mod.Error) as exc:
         print(f"warning: rebuilding cache file {path}: {exc}", file=sys.stderr)
         return None
     return rows
@@ -133,12 +133,14 @@ def cmd_enumerate(args) -> list[dict]:
     if path:
         # the --output csv table, written beside path and renamed over it, so
         # a reader never sees a half-written file
-        os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
+            os.makedirs(cache_dir, exist_ok=True)
             with open(tmp, "w", newline="") as fh:
                 _emit(rows, "csv", fh)
             os.replace(tmp, path)
+        except OSError as exc:  # this run's table is still printed
+            print(f"warning: not caching the table at {path}: {exc}", file=sys.stderr)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -341,7 +343,13 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        rc = dispatch()
+        sys.stdout.flush()  # a reader that closed stdout (`| head`) fails it here
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: exit 1, print nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 1
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

@@ -146,14 +146,13 @@ def get_weierstrass_pair(
     return WeierstrassCurve(A, B)
 
 
-def class_pairs(ctx: FpContext, nr: NonResidueTable
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def class_pairs(ctx: FpContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(j, b, A, B) of every class as int64 arrays, in class_arrays order.
 
     get_weierstrass_pair in vector form (tested entry for entry); it bills
     nothing, since no caller measures the cost of a whole sweep's pairs.
     """
-    p = ctx.p
+    p, nr = ctx.p, NonResidueTable.for_prime(ctx)
     j, b = class_arrays(ctx)
     # alpha^(k b) at each class, from tables over b < 6, the widest b-range
     a2b, a3b, a1b, a6b = (
@@ -250,7 +249,7 @@ class CurveTableRow:
 def build_curve_table(ctx: FpContext, with_structure: bool = True) -> list[CurveTableRow]:
     """Ground truth for every class: (A, B), cardinality and group shape."""
     p = ctx.p
-    j, b, A, B = class_pairs(ctx, NonResidueTable.for_prime(ctx))
+    j, b, A, B = class_pairs(ctx)
     # off j = 0, 1728 the class (j, 1) is the alpha_2-twist of (j, 0), the
     # class just before it, so only b = 0 is counted there
     twist = (b == 1) & (j != 0) & (j != 1728 % p)

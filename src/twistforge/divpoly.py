@@ -16,10 +16,10 @@ way.  The billed scalar path makes each step with one straight-line kernel
 and cubes once and reduces each output once, since its largest product
 (about 155 bits below p = 2^31) costs less than a reduction per product.
 The vectorised path walks the table entries that later steps read
-(`pruned_plan`), each window dense, with a coefficient kernel on arrays of
-lane_dtype(p), uint32 below p = 2^16 and int64 above, which must reduce
-after every product; no intermediate goes negative, so unsigned lanes
-never wrap.
+(`pruned_plan`), each window dense, with one lane kernel (`_coef`) on
+arrays of lane_dtype(p), uint32 below p = 2^16 and int64 above, which must
+reduce after every product; no intermediate goes negative, so unsigned
+lanes never wrap.
 """
 
 from __future__ import annotations
@@ -78,27 +78,25 @@ def _psi3_psi4(mul, x, A, B, p):
     yield _rem(2 * inner, p)
 
 
-def _coef_g1(v, odd: int, w2, p: int):
-    """Coefficient of psi_{2n+1} from those of psi_{n-1}..psi_{n+2}, as lane
-    arrays, with odd = n & 1; w2 = w^2 is the y^4 of the two even-index
-    factors.  Every difference is taken after adding p, so unsigned lanes
-    never wrap."""
-    c_nm1, c_n, c_np1, c_np2 = v
-    t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
-    t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
-    if odd:
-        t2 = _rem(t2 * w2, p)
-    else:
-        t1 = _rem(t1 * w2, p)
-    return _rem(t1 + p - t2, p)
-
-
-def _coef_g2(v, p: int):
-    """Coefficient of psi_{2n} from those of psi_{n-2}..psi_{n+2}, as lane
-    arrays."""
+def _coef(v, entry: tuple[bool, int, int], w2, p: int):
+    """The coefficient that the psi_entry triple `entry` makes from the run
+    v of lane arrays, reduced after every product: g1, psi_{2n+1} from
+    psi_{n-1}..psi_{n+2} with w2 = w^2 on the side of the two even-index
+    factors that odd = n & 1 picks, or g2, psi_{2n} from psi_{n-2}..psi_{n+2}.
+    Every difference is taken after adding p, so unsigned lanes never wrap."""
+    is_g1, off, odd = entry
+    if is_g1:
+        c_nm1, c_n, c_np1, c_np2 = v[off:off + 4]
+        t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
+        t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
+        if odd:
+            t2 = _rem(t2 * w2, p)
+        else:
+            t1 = _rem(t1 * w2, p)
+        return _rem(t1 + p - t2, p)
     # the division by psi_2 = 2y, c / (2y) = c y / (2w), carried as c / 2
     # since callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
-    c_nm2, c_nm1, c_n, c_np1, c_np2 = v
+    c_nm2, c_nm1, c_n, c_np1, c_np2 = v[off:off + 5]
     inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 + p - _rem(c_nm2 * _rem(c_np1 * c_np1, p), p), p)
     c = _rem(inner * c_n, p)
     return (c + (c & 1) * p) >> 1
@@ -108,8 +106,8 @@ def _int_coefs(v, entries, w2: int, p: int, half: int, out: list) -> list[int]:
     """Appends to out, and returns it, the coefficients that the psi_entry
     triples `entries` make from the run v, in Python ints reduced once per
     entry; half = 1/2 mod p.  With out = v each entry reads those before
-    it.  The same g1 and g2 as `_coef_g1` and `_coef_g2`, with w^2 on the
-    side of the two even-index factors and psi_2 = 2y divided out as 1/2."""
+    it.  Entries are read as the lane kernel `_coef` reads one, with w^2 on
+    the side of the two even-index factors and psi_2 = 2y divided out as 1/2."""
     for is_g1, off, odd in entries:
         if is_g1:
             a, b, c, d = v[off:off + 4]
@@ -326,19 +324,13 @@ class BatchAmbient:
         self.w = _rem(_rem(x2 * self.x, p) + _rem(self.A * self.x, p) + self.B, p)
         self.w2 = _rem(self.w * self.w, p)
 
-    def _g(self, v: list[np.ndarray], entry: tuple[bool, int, int]) -> np.ndarray:
-        is_g1, off, odd = entry
-        if is_g1:
-            return _coef_g1(v[off:off + 4], odd, self.w2, self.p)
-        return _coef_g2(v[off:off + 5], self.p)
-
     def psi_coeffs(self, upto: int) -> list[np.ndarray]:
         """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
         p, zero = self.p, np.zeros_like(self.x)
         psi = [zero + (p - 1), zero, zero + 1, zero + 2]
         psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), self.x, self.A, self.B, p))
         for m in range(5, upto + 1):
-            psi.append(self._g(psi, psi_entry(m, -1)))
+            psi.append(_coef(psi, psi_entry(m, -1), self.w2, p))
         return psi[:upto + 2]
 
     def eval(self, ell: int) -> np.ndarray:
@@ -346,5 +338,5 @@ class BatchAmbient:
         k, top, steps = pruned_plan(ell)
         win = self.psi_coeffs(k + top)[k + 1:]
         for step in steps:
-            win = [self._g(win, entry) for entry in step]
+            win = [_coef(win, entry, self.w2, self.p) for entry in step]
         return win[0]

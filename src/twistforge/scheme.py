@@ -31,18 +31,16 @@ class Banknote:
 def mint(ctx: FpContext, seed: int) -> Banknote:
     """Sample classes until the Frobenius-discriminant predicate accepts.
 
-    Only the drawn classes are counted, O(p) each.  The support is
-    forgery.fiber: the strict_or sweep's marked set, each member confirmed
-    by an exact count.
+    Only the drawn classes are counted, O(p) each; sigma = p + 1 is never
+    accepted (4 | Delta = 4p).  The support is forgery.fiber: the strict_or
+    sweep's marked set, each member confirmed by an exact count.
     """
     p = ctx.p
-    j, b, A, B = curves.class_pairs(ctx, NonResidueTable.for_prime(ctx))
+    j, b, A, B = curves.class_pairs(ctx)
     rng = random.Random(seed)
     for _ in range(10 * j.size):
         i = rng.randrange(j.size)
         sigma = curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i])))
-        if sigma == p + 1:
-            continue
         if classnum.frobenius_discriminant(p, sigma).accepted:
             s = SerialNumber(sigma, p)
             idx = forgery.fiber(ctx, A, B, s)
@@ -55,10 +53,10 @@ def check_serial(
     c: CurveClass,
     s: SerialNumber,
     cfg: OracleConfig,
-    nr: NonResidueTable | None = None,
     ctr: MultCounter | None = None,
 ) -> int:
-    """CheckSerialNumber: 1 iff F vanishes on the class.
+    """CheckSerialNumber: 1 iff F vanishes on the class, with the twist
+    parameters of p from `NonResidueTable.for_prime` (memoised per p).
 
     Extensionally identical to the forgery oracle's decision: verifying a
     serial and recognizing a forgery target are the same predicate.  A
@@ -67,8 +65,7 @@ def check_serial(
     and, by Mestre's theorem, for the predicate over all x above 229; at
     p = 5, 7, 11, 17, 23 and 29 some classes pass a sigma they do not have.
     """
-    nr = nr if nr is not None else NonResidueTable.for_prime(ctx)
-    return forgery.oracle_predicate(ctx, c, s, cfg, nr, ctr)
+    return forgery.oracle_predicate(ctx, c, s, cfg, NonResidueTable.for_prime(ctx), ctr)
 
 
 @dataclass
@@ -87,13 +84,12 @@ def forge(
     seed: int = 0,
 ) -> ForgeResult:
     """End-to-end attack: plan, search, sample, re-verify, rebuild support."""
-    nr = NonResidueTable.for_prime(ctx)
-    j, b, A, B = curves.class_pairs(ctx, nr)
+    j, b, A, B = curves.class_pairs(ctx)
     marked = forgery.batch_marked(ctx, A, B, s, cfg)
     plan = grover.plan_iterations(ctx, s, h=int(marked.sum()))  # h >= 1 (Deuring)
     result = grover.run_search(ctx, s, plan, marked, seed=seed)
     sample = result.sample_class
-    passes = check_serial(ctx, sample, s, cfg, nr) == 1
+    passes = check_serial(ctx, sample, s, cfg) == 1
     support = tuple(map(CurveClass, j[marked].tolist(), b[marked].tolist()))
     note = Banknote(s, support)
     return ForgeResult(note, result.success_probability, plan.iterations,

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from twistforge import classnum
+from twistforge.fp_arith import is_prime
 
 
 def test_discriminant_validation():
@@ -21,6 +22,15 @@ def test_is_fundamental():
     assert classnum.is_fundamental(-8)   # q = 2
     assert not classnum.is_fundamental(-16)  # q = 4 not squarefree
     assert not classnum.is_fundamental(-12)  # q = 3 = 3 mod 4
+
+
+def test_frobenius_discriminant_rejects_trace_zero():
+    """sigma = p + 1 is never accepted, so mint draws no invalid serial: at
+    trace 0, Delta = 4p is 0 mod 4, hence not square-free, even at p = 1
+    mod 4, where -4p is fundamental and Delta > 3p."""
+    primes = [p for p in range(5, 20000) if is_prime(p)]
+    assert any(classnum.is_fundamental(-4 * p) for p in primes)
+    assert not [p for p in primes if classnum.frobenius_discriminant(p, p + 1).accepted]
 
 
 def test_exact_class_number_hand_values():

@@ -113,6 +113,41 @@ def test_enumerate_rebuilds_broken_cache(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["curves_p11.csv"]  # no temp file left
 
 
+def test_enumerate_prints_the_table_when_the_cache_cannot_be_written(tmp_path, capsys):
+    """A cache directory that cannot be made, or a cache file that cannot be
+    read or replaced (a directory at its path), costs a warning line each;
+    the table still goes to stdout and no temp file is left."""
+    rc, fresh, _ = run(["enumerate", "--p", "11"], capsys)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc, out, err = run(["enumerate", "--p", "11", "--cache-dir", str(blocker)], capsys)
+    assert rc == 0 and out == fresh
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+    assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == ""
+    (tmp_path / "curves_p11.csv").mkdir()
+    rc, out, err = run(["enumerate", "--p", "11", "--cache-dir", str(tmp_path)], capsys)
+    assert rc == 0 and out == fresh
+    assert [line.split(":")[0] for line in err.splitlines()] == ["warning"] * 2
+    assert sorted(os.listdir(tmp_path)) == ["curves_p11.csv", "file"]
+    assert os.listdir(tmp_path / "curves_p11.csv") == []
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that closes stdout early, as `| head -n 1` does, ends the
+    console script with exit 1 and nothing on stderr.  The table (about
+    181 KB) outgrows a pipe buffer, so the child is still writing when the
+    pipe closes."""
+    src = os.path.dirname(os.path.dirname(twistforge.__file__))
+    argv = [sys.executable, "-m", "twistforge.cli", "enumerate", "--p", "1009", "--no-structure"]
+    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["j"] == "0"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    assert (rc, err) == (1, b"")
+
+
 def test_mint_and_check_serial(capsys):
     rc, out, _ = run(["mint", "--p", "101", "--seed", "0"], capsys)
     assert rc == 0

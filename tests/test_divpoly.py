@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import (_BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef_g1, _coef_g2,
-                                _int_coefs, _int_step)
+from twistforge.divpoly import _BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef, _int_coefs, _int_step
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -386,7 +385,7 @@ def test_kernel_int_mod_matches_int64_rem(p):
             assert _int_coefs(row, [(True, 0, odd)], row[4], p, half, []) == [c], (p, odd, row)
         for dtype in dtypes:
             cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
-            lanes = _coef_g1(cols[:4], odd, cols[4], p)
+            lanes = _coef(cols, (True, 0, odd), cols[4], p)
             assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype, odd)
     # g2 reads psi_{n-2}..psi_{n+2} and halves the result; the int step
     # takes every row as one entry of a single run
@@ -395,7 +394,7 @@ def test_kernel_int_mod_matches_int64_rem(p):
     entries = [(False, 5 * i, i % 2) for i in range(len(rows))]
     assert _int_coefs(run, entries, 0, p, half, []) == want, p
     for dtype in dtypes:
-        lanes = _coef_g2([np.array(c, dtype=dtype) for c in zip(*rows)], p)
+        lanes = _coef([np.array(c, dtype=dtype) for c in zip(*rows)], (False, 0, 0), 0, p)
         assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype)
 
 

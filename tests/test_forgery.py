@@ -150,7 +150,7 @@ def test_batch_marked_rounds_fit_the_first_sweep(monkeypatch, p):
     class, at every sigma of the band and tau in {default, 3 default}, and
     some of those cases take more than one survivor round."""
     ctx = FpContext(p)
-    _, _, A, B = curves.class_pairs(ctx, curves.NonResidueTable.for_prime(ctx))
+    _, _, A, B = curves.class_pairs(ctx)
     lanes = []
     batch_G = forgery.batch_G
     monkeypatch.setattr(forgery, "batch_G",
@@ -301,7 +301,7 @@ def test_false_passes_below_31():
         s = SerialNumber(sigma, p)
         E = curves.get_weierstrass_pair(ctx, CurveClass(j, b), nr)
         assert curves.count_points(ctx, E) != sigma, (p, sigma, j, b)
-        assert scheme.check_serial(ctx, CurveClass(j, b), s, cfg, nr) == 1, (p, sigma, j, b)
+        assert scheme.check_serial(ctx, CurveClass(j, b), s, cfg) == 1, (p, sigma, j, b)
         marked = forgery.batch_marked(ctx, np.array([E.A]), np.array([E.B]), s, cfg)
         assert marked.tolist() == [True], (p, sigma, j, b)
 
@@ -314,7 +314,7 @@ def test_no_false_pass_from_31_to_229():
     found = set()
     for p in filter(is_prime, range(5, 230)):
         ctx = FpContext(p)
-        j, b, A, B = curves.class_pairs(ctx, curves.NonResidueTable.for_prime(ctx))
+        j, b, A, B = curves.class_pairs(ctx)
         j, b = j.tolist(), b.tolist()
         cards = curves.count_points_batch(ctx, A, B)
         cfg = OracleConfig.for_prime(p)
