@@ -9,17 +9,17 @@ recurrence (at most 8 counted multiplications), hence at most 80
 multiplications per doubling.  The plan of psi_l is its chain of window
 bases (`_chain`) over constant tables: each step is one of four kinds, the
 parity of its base times its shift, whose 10 entries are `_STEPS`, and the
-base window is a prefix of `_BASE`.  Both backends share the chain, the
-tables and one psi_3/psi_4 formula, but each makes its entries its own
-way.  The billed scalar path makes each step with one straight-line kernel
-(`_int_step`) in Python's unbounded ints, which forms the window's squares
-and cubes once and reduces each output once, since its largest product
-(about 155 bits below p = 2^31) costs less than a reduction per product.
-The vectorised path walks the table entries that later steps read
-(`pruned_plan`), each window dense, with one lane kernel (`_coef`) on
-arrays of lane_dtype(p), uint32 below p = 2^16 and int64 above, which must
-reduce after every product; no intermediate goes negative, so unsigned
-lanes never wrap.
+base window psi_5 .. psi_14 is `_BASE`.  Both backends walk the chain over
+these tables from one psi_3/psi_4 formula, with one kernel per number
+system.  The billed scalar path works in Python's unbounded ints with two
+straight-line kernels, `_int_base` for the base window and `_int_step` for
+a step, which form each square and cube once and reduce each output once,
+since their largest product (about 155 bits below p = 2^31) costs less
+than a reduction per product.  The vectorised path walks `_BASE` and the
+table entries that later steps read (`pruned_plan`), each window dense,
+with one lane kernel (`_coef`) on arrays of lane_dtype(p), uint32 below
+p = 2^16 and int64 above, which must reduce after every product; no
+intermediate goes negative, so unsigned lanes never wrap.
 """
 
 from __future__ import annotations
@@ -102,48 +102,49 @@ def _coef(v, entry: tuple[bool, int, int], w2, p: int):
     return (c + (c & 1) * p) >> 1
 
 
-def _int_coefs(v, entries, w2: int, p: int, half: int, out: list) -> list[int]:
-    """Appends to out, and returns it, the coefficients that the psi_entry
-    triples `entries` make from the run v, in Python ints reduced once per
-    entry; half = 1/2 mod p.  With out = v each entry reads those before
-    it.  Entries are read as the lane kernel `_coef` reads one, with w^2 on
-    the side of the two even-index factors and psi_2 = 2y divided out as 1/2."""
-    for is_g1, off, odd in entries:
-        if is_g1:
-            a, b, c, d = v[off:off + 4]
-            if odd:
-                out.append((d * b * b * b - a * c * c * c * w2) % p)
-            else:
-                out.append((d * b * b * b * w2 - a * c * c * c) % p)
-        else:
-            a, b, c, d, e = v[off:off + 5]
-            out.append((b * b * e - a * d * d) * c * half % p)
-    return out
+def _int_base(c3: int, c4: int, w2: int, p: int, half: int) -> list[int]:
+    """The coefficients of psi_5 .. psi_14 that `_BASE` makes from
+    psi_{-1} .. psi_4 = -1, 0, 1, 2, c3, c4, in Python ints, each reduced
+    once; half = 1/2 mod p.  Each g1, at n = 2 .. 6, puts w^2 on the cube
+    of whichever of psi_n and psi_{n+1} has an even index, as `_coef`
+    does, and psi_1 = 1 and psi_2 = 2 are written in."""
+    e2, e3, e4 = 8 * w2, c3 * c3 * c3, c4 * c4 * c4 * w2
+    v5 = (c4 * e2 - e3) % p
+    v6 = (4 * v5 - c4 * c4) * c3 * half % p
+    v7 = (v5 * e3 - 2 * e4) % p
+    e5, e6 = v5 * v5 * v5, v6 * v6 * v6 * w2
+    v8 = (c3 * c3 * v6 - 2 * v5 * v5) * c4 * half % p
+    v9 = (v6 * e4 - c3 * e5) % p
+    v10 = (c4 * c4 * v7 - c3 * v6 * v6) * v5 * half % p
+    v11 = (v7 * e5 - c4 * e6) % p
+    e7 = v7 * v7 * v7
+    v12 = (v5 * v5 * v8 - c4 * v7 * v7) * v6 * half % p
+    v13 = (v8 * e6 - v5 * e7) % p
+    v14 = (v6 * v6 * v9 - v5 * v8 * v8) * v7 * half % p
+    return [v5, v6, v7, v8, v9, v10, v11, v12, v13, v14]
 
 
 def _int_step(v, odd: int, shift: int, w2: int, p: int, half: int) -> list[int]:
     """The 10 coefficients that one doubling step makes from the window
     v = psi_b .. psi_{b+9}, in Python ints, each reduced once; odd = b & 1
-    and the new base is 2b + 4 + shift.  This is `_int_coefs` over
+    and the new base is 2b + 4 + shift.  This is `_coef` over
     `_STEPS[odd][shift]`, written out: the g1 outputs read v[o..o+3]
     for o = 1 .. 5 in both kinds, and the g2 outputs read v[o..o+4] for
     o = shift .. shift + 4, so the squares and cubes are shared."""
     v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 = v
     s2, s3, s4, s5, s6, s7 = v2 * v2, v3 * v3, v4 * v4, v5 * v5, v6 * v6, v7 * v7
     c2, c3, c4, c5, c6, c7 = s2 * v2, s3 * v3, s4 * v4, s5 * v5, s6 * v6, s7 * v7
-    # g1 at o makes psi_{2n+1}, n = b + 1 + o; w^2 joins v_o c_{o+2} at odd n
+    # g1 at o makes psi_{2n+1}, n = b + 1 + o, from v_{o+3} c_{o+1} - v_o c_{o+2};
+    # w^2 joins the cubes c_i of even psi_{b+i}, those with i of b's parity
     if odd:
-        a1 = (v4 * c2 - v1 * c3 * w2) % p
-        a2 = (v5 * c3 * w2 - v2 * c4) % p
-        a3 = (v6 * c4 - v3 * c5 * w2) % p
-        a4 = (v7 * c5 * w2 - v4 * c6) % p
-        a5 = (v8 * c6 - v5 * c7 * w2) % p
+        c3, c5, c7 = c3 * w2, c5 * w2, c7 * w2
     else:
-        a1 = (v4 * c2 * w2 - v1 * c3) % p
-        a2 = (v5 * c3 - v2 * c4 * w2) % p
-        a3 = (v6 * c4 * w2 - v3 * c5) % p
-        a4 = (v7 * c5 - v4 * c6 * w2) % p
-        a5 = (v8 * c6 * w2 - v5 * c7) % p
+        c2, c4, c6 = c2 * w2, c4 * w2, c6 * w2
+    a1 = (v4 * c2 - v1 * c3) % p
+    a2 = (v5 * c3 - v2 * c4) % p
+    a3 = (v6 * c4 - v3 * c5) % p
+    a4 = (v7 * c5 - v4 * c6) % p
+    a5 = (v8 * c6 - v5 * c7) % p
     # g2 at o makes psi_{2n}, n = b + 2 + o
     d1 = (s2 * v5 - v1 * s4) * v3 * half % p
     d2 = (s3 * v6 - v2 * s5) * v4 * half % p
@@ -226,17 +227,16 @@ def eval_division_poly(
     """The coefficient c of psi_ell(A, B, x) = c * y^eps via the doubling
     schedule (eps = 1 iff ell is even); O(log ell) multiplications.
 
-    The base window is `_int_coefs` over `_BASE[:k + 5]`, and each step of
-    the chain (`_chain`) one `_int_step`, all 10 entries as the 80-per-bit
-    budget bills them.  The bill is what ticking every product counts: per
-    run, the base window or a step, its zero-free bill (`_BASE_BILLS[k]`,
-    or `_STEP_BILLS` of the step's kind) when no entry that the run reads
-    or writes vanishes, which is the common case, and otherwise
-    `_entry_bill` over the run's table entries.  So a zero-free eval bills
+    The base window is `_int_base` (all of `_BASE`) cut to psi_k ..
+    psi_{k+9}, and each step of the chain (`_chain`) one `_int_step`, all
+    10 entries as the 80-per-bit budget bills them.  The bill is what
+    ticking every product counts: per run, the base window or a step, its
+    zero-free bill (`_BASE_BILLS[k]`, or `_STEP_BILLS` of the step's kind)
+    when no entry that the run reads or writes vanishes, which is the
+    common case, and otherwise `_entry_bill` over the run's table entries.  So a zero-free eval bills
     3 + _BASE_BILLS[k] plus the `_STEP_BILLS` of its chain.
     """
     k, chain = _chain(ell)
-    base, bill = _BASE[:k + 5], _BASE_BILLS[k]
     p = ctx.p
     x %= p
     ctr.tick(3)  # x^2, x^3 and A x, the products of w
@@ -245,12 +245,13 @@ def eval_division_poly(
         raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     w2 = w * w % p
     half = (p + 1) // 2
-    psi = [p - 1, 0, 1, 2, *_psi3_psi4(lambda a, b: a * b % p, x, E.A, E.B, p)]
-    _int_coefs(psi, base, w2, p, half, psi)
+    c3, c4 = _psi3_psi4(lambda a, b: a * b % p, x, E.A, E.B, p)
+    psi = [p - 1, 0, 1, 2, c3, c4, *_int_base(c3, c4, w2, p, half)]
+    bill = _BASE_BILLS[k]
     # no entry reads psi_{-1} or psi_0 = 0
-    if 0 in psi[2:]:
-        bill = 12 + sum(_entry_bill(entry, psi, c) for entry, c in zip(base, psi[6:]))
-    win = psi[k + 1:]
+    if 0 in psi[2:k + 11]:
+        bill = 12 + sum(_entry_bill(entry, psi, c) for entry, c in zip(_BASE[:k + 5], psi[6:]))
+    win = psi[k + 1:k + 11]
     for b, shift in chain:
         odd = b & 1
         new = _int_step(win, odd, shift, w2, p, half)
@@ -324,19 +325,17 @@ class BatchAmbient:
         self.w = _rem(_rem(x2 * self.x, p) + _rem(self.A * self.x, p) + self.B, p)
         self.w2 = _rem(self.w * self.w, p)
 
-    def psi_coeffs(self, upto: int) -> list[np.ndarray]:
-        """Coefficient arrays of psi_{-1}..psi_upto; entry [i] is psi_{i-1}."""
-        p, zero = self.p, np.zeros_like(self.x)
-        psi = [zero + (p - 1), zero, zero + 1, zero + 2]
-        psi.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), self.x, self.A, self.B, p))
-        for m in range(5, upto + 1):
-            psi.append(_coef(psi, psi_entry(m, -1), self.w2, p))
-        return psi[:upto + 2]
-
     def eval(self, ell: int) -> np.ndarray:
-        """Coefficient array of psi_ell across all ambients."""
+        """Coefficient array of psi_ell across all ambients: psi_{-1} ..
+        psi_4, then `_BASE` up to psi_{k+top}, cut to the window psi_k ..
+        psi_{k+top} that the first step of `pruned_plan(ell)` reads."""
         k, top, steps = pruned_plan(ell)
-        win = self.psi_coeffs(k + top)[k + 1:]
+        p = self.p
+        win = [np.full_like(self.x, c) for c in (p - 1, 0, 1, 2)]
+        win.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), self.x, self.A, self.B, p))
+        for entry in _BASE[:max(0, k + top - 4)]:
+            win.append(_coef(win, entry, self.w2, p))
+        win = win[k + 1:]
         for step in steps:
-            win = [_coef(win, entry, self.w2, self.p) for entry in step]
+            win = [_coef(win, entry, self.w2, p) for entry in step]
         return win[0]

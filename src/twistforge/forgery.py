@@ -87,14 +87,13 @@ def F(ctx: FpContext, E: WeierstrassCurve, s: SerialNumber, cfg: OracleConfig,
     first nonzero term); paper_sum returns the field sum of all tau terms,
     mirroring the register accumulation of the quantum circuit.
     """
-    if cfg.mode == "strict_or":
-        for x in range(cfg.tau):
-            if G(ctx, E, x, s, ctr) != 0:
-                return 1
-        return 0
+    strict = cfg.mode == "strict_or"
     total = 0
     for x in range(cfg.tau):
-        total = (total + G(ctx, E, x, s, ctr)) % ctx.p
+        g = G(ctx, E, x, s, ctr)
+        if strict and g:
+            return 1
+        total = (total + g) % ctx.p
     return total
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import twistforge
-from twistforge import curves
+from twistforge import curves, divpoly
 from twistforge.curves import CurveClass, NonResidueTable, WeierstrassCurve
 from twistforge.fp_arith import FpContext, MultCounter, is_prime
 
@@ -100,6 +100,24 @@ def test_class_pairs_match_scalar_pairs():
         assert list(zip(A.tolist(), B.tolist())) == [(E.A, E.B) for E in want], p
     j, _, _, _ = curves.class_pairs(FpContext(109))
     assert (j == 0).sum() == 6 and (j == 1728 % 109).sum() == 4
+
+
+@pytest.mark.parametrize("p", [65537, 100003])
+def test_class_pairs_match_scalar_pairs_on_int64_lanes(p):
+    """Above 2^16 class_pairs raises to powers on int64 lanes: it is still
+    get_weierstrass_pair at every class at j = 0 and j = 1728 and at a
+    seeded sample of 2000 other classes."""
+    ctx = FpContext(p)
+    nr = NonResidueTable.for_prime(ctx)
+    assert divpoly.lane_dtype(p) is np.int64
+    j, b, A, B = curves.class_pairs(ctx)
+    special = np.flatnonzero((j == 0) | (j == 1728 % p))
+    others = np.setdiff1d(np.arange(j.size), special)
+    sample = np.random.default_rng(p).choice(others, 2000, replace=False)
+    assert special.size == curves.b_range(ctx, 0) + curves.b_range(ctx, 1728 % p), p
+    for i in [*special.tolist(), *sample.tolist()]:
+        E = curves.get_weierstrass_pair(ctx, CurveClass(int(j[i]), int(b[i])), nr)
+        assert (int(A[i]), int(B[i])) == (E.A, E.B), (p, i)
 
 
 def test_pair_worked_example_p11():

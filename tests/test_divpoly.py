@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import _BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef, _int_coefs, _int_step
+from twistforge.divpoly import _BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef, _int_base, _int_step
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -363,10 +363,10 @@ def test_eval_bills_as_ticked_walk(p):
 @pytest.mark.parametrize("p", [5, 101, 65521, 2**20 + 7, 2**31 - 1])
 def test_kernel_int_mod_matches_int64_rem(p):
     """g1 and g2 computed in exact integers mod p are what the coefficient
-    kernel gives on int64 arrays, and below 2^16 on uint32 arrays, lane by
-    lane, and what the scalar path's int step gives, which reduces each
-    entry once.  On uint32 lanes a difference that went negative would wrap
-    mod 2^32, not mod p."""
+    kernel gives on Python ints, which the tests take as the reference of
+    the scalar path's straight-line kernels, on int64 arrays, and below
+    2^16 on uint32 arrays, lane by lane.  On uint32 lanes a difference that
+    went negative would wrap mod 2^32, not mod p."""
     rng = random.Random(p)
     half = (p + 1) // 2  # 1/2 mod p
     # every 5-tuple of 0, 1 and p - 1 (products near p^2, negative
@@ -382,17 +382,14 @@ def test_kernel_int_mod_matches_int64_rem(p):
             t1, t2 = c3 * c1**3, c0 * c2**3
             want.append((t1 - t2 * w2) % p if odd else (t1 * w2 - t2) % p)
         for row, c in zip(rows, want):
-            assert _int_coefs(row, [(True, 0, odd)], row[4], p, half, []) == [c], (p, odd, row)
+            assert _coef(row, (True, 0, odd), row[4], p) == c, (p, odd, row)
         for dtype in dtypes:
             cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
             lanes = _coef(cols, (True, 0, odd), cols[4], p)
             assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype, odd)
-    # g2 reads psi_{n-2}..psi_{n+2} and halves the result; the int step
-    # takes every row as one entry of a single run
+    # g2 reads psi_{n-2}..psi_{n+2} and halves the result
     want = [(c1 * c1 * c4 - c0 * c3 * c3) * c2 * half % p for c0, c1, c2, c3, c4 in rows]
-    run = [c for row in rows for c in row]
-    entries = [(False, 5 * i, i % 2) for i in range(len(rows))]
-    assert _int_coefs(run, entries, 0, p, half, []) == want, p
+    assert [_coef(row, (False, 0, 0), 0, p) for row in rows] == want, p
     for dtype in dtypes:
         lanes = _coef([np.array(c, dtype=dtype) for c in zip(*rows)], (False, 0, 0), 0, p)
         assert lanes.dtype == dtype and lanes.tolist() == want, (p, dtype)
@@ -412,10 +409,10 @@ def _steps_by_kind(ells):
 
 @pytest.mark.parametrize("p", [101, 65537, 2**20 + 7, 2**31 - 1])
 def test_int_step_matches_int_coefs(p):
-    """The straight-line step is `_int_coefs` over the plan's entries of
-    that step, for each of the four kinds, on random windows (half of them
-    near p, where the products are largest) and on windows with a 0 at
-    each single position."""
+    """The straight-line step is the coefficient kernel on Python ints over
+    the entries of its kind, `_STEPS[b & 1][shift]`, for each of the four
+    kinds, on random windows (half of them near p, where the products are
+    largest) and on windows with a 0 at each single position."""
     rng = random.Random(p)
     half = (p + 1) // 2
     kinds = _steps_by_kind(range(6, 200))
@@ -428,8 +425,27 @@ def test_int_step_matches_int_coefs(p):
                 windows += [v[:i] + [0] + v[i + 1:] for v in windows[:5]]
             for v in windows:
                 w2 = rng.choice((rng.randrange(p), p - 1))
-                want = _int_coefs(v, step, w2, p, half, [])
+                want = [_coef(v, entry, w2, p) for entry in step]
                 assert _int_step(v, b & 1, shift, w2, p, half) == want, (p, kind, b, v, w2)
+
+
+@pytest.mark.parametrize("p", [101, 65537, 2**20 + 7, 2**31 - 1])
+def test_int_base_matches_coef(p):
+    """The straight-line base window is the coefficient kernel on Python
+    ints over `_BASE` from psi_{-1} .. psi_4 = -1, 0, 1, 2, psi_3, psi_4: on
+    random inputs, on inputs near p, where the products are largest, and
+    with a 0 in each of psi_3, psi_4 and w^2."""
+    rng = random.Random(p)
+    half = (p + 1) // 2
+    draws = [[rng.randrange(p) for _ in range(3)] for _ in range(200)]
+    draws += [[rng.randrange(p - 64, p) for _ in range(3)] for _ in range(200)]
+    for i in range(3):
+        draws += [d[:i] + [0] + d[i + 1:] for d in draws[::20]]
+    for c3, c4, w2 in draws:
+        psi = [p - 1, 0, 1, 2, c3, c4]
+        for entry in _BASE:
+            psi.append(_coef(psi, entry, w2, p))
+        assert _int_base(c3, c4, w2, p, half) == psi[6:], (p, c3, c4, w2)
 
 
 def test_step_bills_by_kind():
@@ -514,13 +530,19 @@ def test_batch_matches_scalar_at_uint32_limit(p, dtype, data):
     assert all(a.dtype == dtype for a in (ba.A, ba.B, ba.x, ba.w, ba.w2, got))
 
 
-def test_batch_psi_coeffs_match_scalar():
-    ctx = FpContext(101)
-    # includes A = 0 (j = 0) and B = 0 (j = 1728)
-    rows = [(2, 3, 5), (0, 7, 11), (5, 0, 9), (40, 1, 77), (100, 100, 0)]
+@pytest.mark.parametrize("p", [101, 65537])
+def test_batch_eval_matches_psi_sequence(p):
+    """BatchAmbient.eval(ell) is the reference recurrence's psi_ell for
+    ell = 1 .. 30 on uint32 lanes (p = 101) and on int64 lanes (p = 65537),
+    from ell <= 5, where there is no step and the base window is cut at
+    psi_ell itself, on."""
+    ctx = FpContext(p)
+    # includes A = 0 (j = 0), B = 0 (j = 1728) and x = 0
+    rows = [(2, 3, 5), (0, 7, 11), (5, 0, 9), (40, 1, 77), (p - 1, p - 1, 0)]
     ba = divpoly.BatchAmbient(ctx, *[np.array(col, dtype=np.int64) for col in zip(*rows)])
-    coeffs = ba.psi_coeffs(30)
-    for i, (A, B, x) in enumerate(rows):
-        amb = Ambient(ctx, WeierstrassCurve(A, B), x, MultCounter())
-        for n, v in enumerate(psiref.psi_sequence(amb, 30), start=-1):
-            assert int(coeffs[n + 1][i]) == v.c, (A, B, x, n)
+    want = [psiref.psi_sequence(Ambient(ctx, WeierstrassCurve(A, B), x, MultCounter()), 30)
+            for A, B, x in rows]
+    for ell in range(1, 31):
+        got = ba.eval(ell)
+        assert got.dtype == divpoly.lane_dtype(p), (p, ell)
+        assert got.tolist() == [psi[ell + 1].c for psi in want], (p, ell)
