@@ -154,17 +154,19 @@ def class_pairs(ctx: FpContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     p, nr = ctx.p, NonResidueTable.for_prime(ctx)
     j, b = class_arrays(ctx)
-    # alpha^(k b) at each class, from tables over b < 6, the widest b-range
-    a2b, a3b, a1b, a6b = (
-        np.array([pow(a, k * e, p) for e in range(6)], dtype=np.int64)[b]
-        for a, k in ((nr.alpha2, 2), (nr.alpha2, 3), (nr.alpha2, 1), (nr.alpha6, 1)))
+    # the b = 0 pair (3j, 2j) / (1728 - j) once per j, on p lanes, gathered
+    # to the classes; every b-range is even, so the odd rows are b = 1, the
+    # alpha_2-twist (and b = 3, 5 at j = 0, 1728, which are set below)
     k = np.arange(p, dtype=lane_dtype(p))
-    denom = _vec_pow(1728 % p + p - k, p - 2, p).astype(np.int64)[j]
-    A = _rem(_rem(_rem(3 * j, p) * a2b, p) * denom, p)
-    B = _rem(_rem(_rem(2 * j, p) * a3b, p) * denom, p)
-    zero, j1728 = j == 0, j == 1728 % p
-    A[zero], B[zero] = 0, a6b[zero]
-    A[j1728], B[j1728] = a1b[j1728], 0
+    denom = _vec_pow(1728 % p + p - k, p - 2, p)
+    A, B = (_rem(_rem(c * k, p) * denom, p).astype(np.int64)[j] for c in (3, 2))
+    for v, e in ((A, 2), (B, 3)):
+        v[1::2] = _rem(v[1::2] * pow(nr.alpha2, e, p), p)
+    # the pair is (0, 0) at j = 0 and, as 0^(p-2) = 0, at j = 1728; there
+    # it is (0, alpha_6^b) and (alpha_2^b, 0)
+    for j0, alpha, v in ((0, nr.alpha6, B), (1728 % p, nr.alpha2, A)):
+        lo, hi = np.searchsorted(j, (j0, j0 + 1))
+        v[lo:hi] = [pow(alpha, e, p) for e in range(hi - lo)]
     return j, b, A, B
 
 

@@ -322,8 +322,8 @@ class BatchAmbient:
         dtype = lane_dtype(p)
         self.A, self.B, self.x = (_rem(v, p).astype(dtype, copy=False) for v in (A, B, x))
         x2 = _rem(self.x * self.x, p)
-        self.w = _rem(_rem(x2 * self.x, p) + _rem(self.A * self.x, p) + self.B, p)
-        self.w2 = _rem(self.w * self.w, p)
+        w = _rem(_rem(x2 * self.x, p) + _rem(self.A * self.x, p) + self.B, p)
+        self.w2 = _rem(w * w, p)
 
     def eval(self, ell: int) -> np.ndarray:
         """Coefficient array of psi_ell across all ambients: psi_{-1} ..

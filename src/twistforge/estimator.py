@@ -13,8 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import classnum, curves, forgery
-from .curves import NonResidueTable
+from . import classnum, curves, scheme
 from .fp_arith import FpContext, MultCounter
 from .forgery import OracleConfig, SerialNumber
 
@@ -99,14 +98,13 @@ def audit(
     """
     n = (ctx.p - 1).bit_length()  # ceil(log2 p)
     ceiling = ORACLE_MULTS_CONST * n * n
-    nr = NonResidueTable.for_prime(ctx)
     count = curves.class_count(ctx)
     rng = random.Random(seed)
     rows = []
     for _ in range(sample_size):
         c = curves.class_at(ctx, rng.randrange(count))
         ctr = MultCounter()
-        bit = forgery.oracle_predicate(ctx, c, s, cfg, nr, ctr)
+        bit = scheme.check_serial(ctx, c, s, cfg, ctr)
         rows.append(AuditRow(c.j, c.b, bool(bit), ctr.count, ceiling,
                              ctr.count / ceiling))
     return rows

@@ -7,8 +7,6 @@ accounting unit the cost budgets elsewhere in the package are stated in.
 
 from __future__ import annotations
 
-FieldElement = int
-
 # Desk-scale cap: everything fits in 64-bit intermediates.
 MAX_PRIME = 2**31
 
@@ -61,7 +59,7 @@ class FpContext:
     def __repr__(self) -> str:
         return f"FpContext(p={self.p})"
 
-    def pow(self, a: FieldElement, e: int, ctr: MultCounter) -> FieldElement:
+    def pow(self, a: int, e: int, ctr: MultCounter) -> int:
         """a**e billed as left-to-right square-and-multiply: one squaring per
         bit of e after the leading one, one product per further set bit."""
         if e < 0:
@@ -71,7 +69,7 @@ class FpContext:
         ctr.tick(e.bit_length() + e.bit_count() - 2)
         return pow(a, e, self.p)
 
-    def euler_criterion(self, w: FieldElement, ctr: MultCounter) -> int:
+    def euler_criterion(self, w: int, ctr: MultCounter) -> int:
         """The Legendre symbol (w/p) as 1, -1 or 0, by w**((p-1)/2); w = 0
         bills nothing."""
         w %= self.p

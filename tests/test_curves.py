@@ -120,6 +120,29 @@ def test_class_pairs_match_scalar_pairs_on_int64_lanes(p):
         assert (int(A[i]), int(B[i])) == (E.A, E.B), (p, i)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for VmHWM")
+def test_class_pairs_peak_memory_at_p_1000003():
+    """class_pairs returns 61 MiB of arrays at p = 1000003 and peaks at
+    ≈136 MiB; gathering four α-power arrays to every class, as a per-class
+    pair formula would, peaks at ≈212 MiB."""
+    script = (
+        "import sys\n"
+        "from twistforge import curves\n"
+        "from twistforge.fp_arith import FpContext\n"
+        "j, b, A, B = curves.class_pairs(FpContext(1000003))\n"
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
+        "print(j.size, int(hwm[0].split()[1]), file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(twistforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    size, hwm_kib = map(int, proc.stderr.split())
+    assert size == curves.class_count(FpContext(1000003))
+    assert hwm_kib < 175 * 1024, hwm_kib
+
+
 def test_pair_worked_example_p11():
     ctx = FpContext(11)
     nr = NonResidueTable.for_prime(ctx)
