@@ -89,8 +89,8 @@ def class_count(ctx: FpContext) -> int:
 
 
 def class_at(ctx: FpContext, i: int) -> CurveClass:
-    """Entry i of class_arrays in O(1): j ascends with two b per j, except
-    at j = 0 and j = 1728, which take b_range(ctx, j) entries each."""
+    """Entry i of enumerate_classes in O(1): j ascends with two b per j,
+    except at j = 0 and j = 1728, which take b_range(ctx, j) entries each."""
     if not 0 <= i < class_count(ctx):
         raise IndexError(f"class index {i} out of range mod {ctx.p}")
     w0, j1 = b_range(ctx, 0), 1728 % ctx.p
@@ -104,21 +104,9 @@ def class_at(ctx: FpContext, i: int) -> CurveClass:
     return CurveClass(k // 2, k % 2)
 
 
-def class_arrays(ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
-    """(j, b) of every legal class as int64 arrays, in lexicographic order."""
-    p = ctx.p
-    counts = np.full(p, 2, dtype=np.int64)
-    for j in (0, 1728 % p):  # the only j with a wider b-range
-        counts[j] = b_range(ctx, j)
-    j = np.repeat(np.arange(p, dtype=np.int64), counts)
-    b = np.arange(j.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return j, b
-
-
 def enumerate_classes(ctx: FpContext) -> list[CurveClass]:
     """Every legal (j, b) exactly once, in lexicographic order."""
-    j, b = class_arrays(ctx)
-    return list(map(CurveClass, j.tolist(), b.tolist()))
+    return [CurveClass(j, b) for j in range(ctx.p) for b in range(b_range(ctx, j))]
 
 
 def get_weierstrass_pair(
@@ -146,28 +134,31 @@ def get_weierstrass_pair(
     return WeierstrassCurve(A, B)
 
 
-def class_pairs(ctx: FpContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(j, b, A, B) of every class as int64 arrays, in class_arrays order.
+def class_pairs(ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of every class as int64 arrays, in enumerate_classes order.
 
     get_weierstrass_pair in vector form (tested entry for entry); it bills
     nothing, since no caller measures the cost of a whole sweep's pairs.
     """
     p, nr = ctx.p, NonResidueTable.for_prime(ctx)
-    j, b = class_arrays(ctx)
-    # the b = 0 pair (3j, 2j) / (1728 - j) once per j, on p lanes, gathered
-    # to the classes; every b-range is even, so the odd rows are b = 1, the
-    # alpha_2-twist (and b = 3, 5 at j = 0, 1728, which are set below)
+    counts = np.full(p, 2, dtype=np.int64)
+    for j in (0, 1728 % p):  # the only j with a wider b-range
+        counts[j] = b_range(ctx, j)
+    # the b = 0 pair (3j, 2j) / (1728 - j) once per j, on p lanes, repeated
+    # over the j's classes; every b-range is even, so the odd rows are b = 1,
+    # the alpha_2-twist (and b = 3, 5 at j = 0, 1728, which are set below)
     k = np.arange(p, dtype=lane_dtype(p))
     denom = _vec_pow(1728 % p + p - k, p - 2, p)
-    A, B = (_rem(_rem(c * k, p) * denom, p).astype(np.int64)[j] for c in (3, 2))
+    A, B = (np.repeat(_rem(_rem(c * k, p) * denom, p).astype(np.int64), counts)
+            for c in (3, 2))
     for v, e in ((A, 2), (B, 3)):
         v[1::2] = _rem(v[1::2] * pow(nr.alpha2, e, p), p)
     # the pair is (0, 0) at j = 0 and, as 0^(p-2) = 0, at j = 1728; there
     # it is (0, alpha_6^b) and (alpha_2^b, 0)
     for j0, alpha, v in ((0, nr.alpha6, B), (1728 % p, nr.alpha2, A)):
-        lo, hi = np.searchsorted(j, (j0, j0 + 1))
-        v[lo:hi] = [pow(alpha, e, p) for e in range(hi - lo)]
-    return j, b, A, B
+        lo = counts[:j0].sum()
+        v[lo:lo + counts[j0]] = [pow(alpha, e, p) for e in range(counts[j0])]
+    return A, B
 
 
 def count_points(ctx: FpContext, E: WeierstrassCurve) -> int:
@@ -251,19 +242,19 @@ class CurveTableRow:
 def build_curve_table(ctx: FpContext, with_structure: bool = True) -> list[CurveTableRow]:
     """Ground truth for every class: (A, B), cardinality and group shape."""
     p = ctx.p
-    j, b, A, B = class_pairs(ctx)
+    A, B = class_pairs(ctx)
+    classes = enumerate_classes(ctx)
     # off j = 0, 1728 the class (j, 1) is the alpha_2-twist of (j, 0), the
     # class just before it, so only b = 0 is counted there
-    twist = (b == 1) & (j != 0) & (j != 1728 % p)
-    cards = np.empty(j.size, dtype=np.int64)
+    twist = np.array([c.b == 1 and c.j not in (0, 1728 % p) for c in classes])
+    cards = np.empty(A.size, dtype=np.int64)
     cards[~twist] = count_points_batch(ctx, A[~twist], B[~twist])
     cards[twist] = 2 * p + 2 - cards[np.flatnonzero(twist) - 1]
     rows = []
-    for jc, bc, Ac, Bc, card in zip(j.tolist(), b.tolist(), A.tolist(), B.tolist(),
-                                    cards.tolist()):
+    for c, Ac, Bc, card in zip(classes, A.tolist(), B.tolist(), cards.tolist()):
         if with_structure:
             m, k = group_structure(ctx, WeierstrassCurve(Ac, Bc), card)
         else:
             m, k = 0, 0
-        rows.append(CurveTableRow(jc, bc, Ac, Bc, card, m, k))
+        rows.append(CurveTableRow(c.j, c.b, Ac, Bc, card, m, k))
     return rows

@@ -200,7 +200,7 @@ def false_positive_experiment(
     """
     import random
 
-    _, _, A, B = curves.class_pairs(ctx)
+    A, B = curves.class_pairs(ctx)
     nontargets = np.delete(np.arange(A.size), fiber(ctx, A, B, s))
     rng = random.Random(seed)
     rows = []

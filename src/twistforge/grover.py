@@ -67,8 +67,8 @@ def run_search(
 ) -> SearchResult:
     """Run plan.iterations rounds of oracle + diffusion and measure once.
 
-    marked is the oracle's boolean mask over the classes in class_arrays
-    order, e.g. from forgery.batch_marked.
+    marked is the oracle's boolean mask over the classes in
+    enumerate_classes order, e.g. from forgery.batch_marked.
     """
     marked = np.asarray(marked, dtype=bool)
     if marked.size != curves.class_count(ctx):

@@ -36,15 +36,15 @@ def mint(ctx: FpContext, seed: int) -> Banknote:
     sweep's marked set, each member confirmed by an exact count.
     """
     p = ctx.p
-    j, b, A, B = curves.class_pairs(ctx)
+    A, B = curves.class_pairs(ctx)
     rng = random.Random(seed)
-    for _ in range(10 * j.size):
-        i = rng.randrange(j.size)
+    for _ in range(10 * A.size):
+        i = rng.randrange(A.size)
         sigma = curves.count_points(ctx, WeierstrassCurve(int(A[i]), int(B[i])))
         if classnum.frobenius_discriminant(p, sigma).accepted:
             s = SerialNumber(sigma, p)
             idx = forgery.fiber(ctx, A, B, s)
-            return Banknote(s, tuple(map(CurveClass, j[idx].tolist(), b[idx].tolist())))
+            return Banknote(s, tuple(curves.class_at(ctx, i) for i in idx.tolist()))
     raise Exhausted(f"no acceptable sigma over F_{p} within the draw cap")
 
 
@@ -84,13 +84,13 @@ def forge(
     seed: int = 0,
 ) -> ForgeResult:
     """End-to-end attack: plan, search, sample, re-verify, rebuild support."""
-    j, b, A, B = curves.class_pairs(ctx)
+    A, B = curves.class_pairs(ctx)
     marked = forgery.batch_marked(ctx, A, B, s, cfg)
     plan = grover.plan_iterations(ctx, s, h=int(marked.sum()))  # h >= 1 (Deuring)
     result = grover.run_search(ctx, s, plan, marked, seed=seed)
     sample = result.sample_class
     passes = check_serial(ctx, sample, s, cfg) == 1
-    support = tuple(map(CurveClass, j[marked].tolist(), b[marked].tolist()))
+    support = tuple(curves.class_at(ctx, i) for i in marked.nonzero()[0].tolist())
     note = Banknote(s, support)
     return ForgeResult(note, result.success_probability, plan.iterations,
                        sample, passes)

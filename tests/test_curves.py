@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -62,17 +63,32 @@ def test_legendre_table_matches_euler_criterion(p):
     assert tbl.tolist() == [ctx.euler_criterion(v, MultCounter()) for v in range(p)]
 
 
-def test_class_at_is_class_arrays_entry():
+def test_class_at_is_enumerate_classes_entry():
     for p in range(5, 3000):
         if not is_prime(p):
             continue
         ctx = FpContext(p)
-        j, b = curves.class_arrays(ctx)
-        assert curves.class_count(ctx) == j.size
-        at = [curves.class_at(ctx, i) for i in range(j.size)]
-        assert [(c.j, c.b) for c in at] == list(zip(j.tolist(), b.tolist())), p
+        classes = curves.enumerate_classes(ctx)
+        assert curves.class_count(ctx) == len(classes)
+        assert [curves.class_at(ctx, i) for i in range(len(classes))] == classes, p
         with pytest.raises(IndexError):
-            curves.class_at(ctx, j.size)
+            curves.class_at(ctx, len(classes))
+    # at the int64 edge, where audit draws through class_at, against running
+    # sums of b_range: the first 12 indices, the rows around j = 1728 and
+    # the last index; p = 7 and 1 mod 12 give 2 and 4 rows at j = 1728
+    for p, wide in ((2**31 - 1, (6, 2)), (2147483629, (6, 4))):
+        ctx = FpContext(p)
+        widths = [curves.b_range(ctx, j) for j in range(1730)]
+        assert (widths[0], widths[1728]) == wide, p
+        starts = [0, *itertools.accumulate(widths)]
+        for j in (0, 1, 2, 3, 1727, 1728, 1729):
+            for b in range(widths[j]):
+                assert curves.class_at(ctx, starts[j] + b) == CurveClass(j, b), (p, j, b)
+        last = curves.class_count(ctx) - 1
+        assert last == starts[1730] + 2 * (p - 1730) - 1, p
+        assert curves.class_at(ctx, last) == CurveClass(p - 1, 1), p
+        with pytest.raises(IndexError):
+            curves.class_at(ctx, last + 1)
 
 
 def test_class_counts():
@@ -87,52 +103,52 @@ def test_class_counts():
 
 def test_class_pairs_match_scalar_pairs():
     """class_pairs is get_weierstrass_pair at every class, in the order of
-    the nested (j, b-range) loop; p = 109 = 1 mod 12 has 6 classes at j = 0
-    and 4 at j = 1728."""
+    the nested (j, b-range) loop of enumerate_classes; p = 109 = 1 mod 12
+    has 6 classes at j = 0 and 4 at j = 1728."""
     for p in (5, 7, 11, 13, 101, 109, 499, 1009):
         ctx = FpContext(p)
         nr = NonResidueTable.for_prime(ctx)
-        j, b, A, B = curves.class_pairs(ctx)
-        loop = [(jj, bb) for jj in range(p) for bb in range(curves.b_range(ctx, jj))]
-        assert list(zip(j.tolist(), b.tolist())) == loop, p
-        assert all(x.dtype == np.int64 for x in (j, b, A, B))
-        want = [curves.get_weierstrass_pair(ctx, CurveClass(jj, bb), nr) for jj, bb in loop]
+        A, B = curves.class_pairs(ctx)
+        assert all(x.dtype == np.int64 for x in (A, B))
+        want = [curves.get_weierstrass_pair(ctx, c, nr) for c in curves.enumerate_classes(ctx)]
         assert list(zip(A.tolist(), B.tolist())) == [(E.A, E.B) for E in want], p
-    j, _, _, _ = curves.class_pairs(FpContext(109))
-    assert (j == 0).sum() == 6 and (j == 1728 % 109).sum() == 4
+    j = Counter(c.j for c in curves.enumerate_classes(FpContext(109)))
+    assert j[0] == 6 and j[1728 % 109] == 4
 
 
-@pytest.mark.parametrize("p", [65537, 100003])
+@pytest.mark.parametrize("p", [65537, 65557, 100003])
 def test_class_pairs_match_scalar_pairs_on_int64_lanes(p):
     """Above 2^16 class_pairs raises to powers on int64 lanes: it is still
     get_weierstrass_pair at every class at j = 0 and j = 1728 and at a
-    seeded sample of 2000 other classes."""
+    seeded sample of 2000 other classes; p = 65557 = 1 mod 12 has 6 classes
+    at j = 0 and 4 at j = 1728."""
     ctx = FpContext(p)
     nr = NonResidueTable.for_prime(ctx)
     assert divpoly.lane_dtype(p) is np.int64
-    j, b, A, B = curves.class_pairs(ctx)
-    special = np.flatnonzero((j == 0) | (j == 1728 % p))
-    others = np.setdiff1d(np.arange(j.size), special)
+    A, B = curves.class_pairs(ctx)
+    # the classes at j = 0 and j = 1728 lie among the first 6 + 2 * 1727 + 4
+    special = [i for i in range(3500) if curves.class_at(ctx, i).j in (0, 1728)]
+    others = np.setdiff1d(np.arange(A.size), special)
     sample = np.random.default_rng(p).choice(others, 2000, replace=False)
-    assert special.size == curves.b_range(ctx, 0) + curves.b_range(ctx, 1728 % p), p
-    for i in [*special.tolist(), *sample.tolist()]:
-        E = curves.get_weierstrass_pair(ctx, CurveClass(int(j[i]), int(b[i])), nr)
+    assert len(special) == curves.b_range(ctx, 0) + curves.b_range(ctx, 1728 % p), p
+    for i in [*special, *sample.tolist()]:
+        E = curves.get_weierstrass_pair(ctx, curves.class_at(ctx, i), nr)
         assert (int(A[i]), int(B[i])) == (E.A, E.B), (p, i)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc/self/status for VmHWM")
 def test_class_pairs_peak_memory_at_p_1000003():
-    """class_pairs returns 61 MiB of arrays at p = 1000003 and peaks at
-    ≈136 MiB; gathering four α-power arrays to every class, as a per-class
-    pair formula would, peaks at ≈212 MiB."""
+    """class_pairs returns 31 MiB of arrays (A and B) at p = 1000003 and
+    peaks at ≈113 MiB; returning j and b as well, and gathering the pair
+    through j, peaks at ≈136 MiB."""
     script = (
         "import sys\n"
         "from twistforge import curves\n"
         "from twistforge.fp_arith import FpContext\n"
-        "j, b, A, B = curves.class_pairs(FpContext(1000003))\n"
+        "A, B = curves.class_pairs(FpContext(1000003))\n"
         "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
-        "print(j.size, int(hwm[0].split()[1]), file=sys.stderr)\n"
+        "print(A.size, int(hwm[0].split()[1]), file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(twistforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -140,7 +156,7 @@ def test_class_pairs_peak_memory_at_p_1000003():
                           capture_output=True, text=True, check=True)
     size, hwm_kib = map(int, proc.stderr.split())
     assert size == curves.class_count(FpContext(1000003))
-    assert hwm_kib < 175 * 1024, hwm_kib
+    assert hwm_kib < 125 * 1024, hwm_kib
 
 
 def test_pair_worked_example_p11():
