@@ -10,7 +10,8 @@ multiplications per doubling.  The plan of psi_l is its chain of window
 bases (`_chain`) over constant tables: each step is one of four kinds, the
 parity of its base times its shift, whose 10 entries are `_STEPS`, and the
 base window psi_5 .. psi_14 is `_BASE`.  Both backends walk the chain over
-these tables from one psi_3/psi_4 formula, with one kernel per number
+these tables from one seed formula, `_psi3_psi4`, which takes ints and
+lanes alike with no callback, and past it with one kernel per number
 system.  The billed scalar path works in Python's unbounded ints with two
 straight-line kernels, `_int_base` for the base window and `_int_step` for
 a step, which form each square and cube once and reduce each output once,
@@ -55,27 +56,24 @@ def _rem(c, p):
     return c - c // p * p
 
 
-def _psi3_psi4(mul, x, A, B, p):
-    """Yields the coefficient of psi_3, then that of psi_4 = c * y.
-
-    mul is the backend's product (billed or vectorised); a caller that needs
-    only psi_3 stops after the first value and pays for nothing more.
-    """
-    x2 = mul(x, x)
-    x4 = mul(x2, x2)
-    ax2 = mul(A, x2)
-    bx = mul(B, x)
-    a2 = mul(A, A)
-    yield _rem(3 * x4 + 6 * ax2 + 12 * bx + p - a2, p)
-    x6 = mul(x4, x2)
-    ax4 = mul(A, x4)
-    bx3 = mul(bx, x2)
-    a2x2 = mul(a2, x2)
-    abx = mul(A, bx)
-    a3 = mul(a2, A)
-    b2 = mul(B, B)
+def _psi3_psi4(x, A, B, p):
+    """The coefficients of psi_3 and psi_4 = c * y at residues x, A and B, as
+    ints or lanes alike: each product is reduced and each sum kept >= 0."""
+    x2 = _rem(x * x, p)
+    x4 = _rem(x2 * x2, p)
+    ax2 = _rem(A * x2, p)
+    bx = _rem(B * x, p)
+    a2 = _rem(A * A, p)
+    c3 = _rem(3 * x4 + 6 * ax2 + 12 * bx + p - a2, p)
+    x6 = _rem(x4 * x2, p)
+    ax4 = _rem(A * x4, p)
+    bx3 = _rem(bx * x2, p)
+    a2x2 = _rem(a2 * x2, p)
+    abx = _rem(A * bx, p)
+    a3 = _rem(a2 * A, p)
+    b2 = _rem(B * B, p)
     inner = _rem(2 * x6 + 10 * ax4 + 40 * bx3 + 36 * p - 10 * a2x2 - 8 * abx - 2 * a3 - 16 * b2, p)
-    yield _rem(2 * inner, p)
+    return c3, _rem(2 * inner, p)
 
 
 def _coef(v, entry: tuple[bool, int, int], w2, p: int):
@@ -245,7 +243,7 @@ def eval_division_poly(
         raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     w2 = w * w % p
     half = (p + 1) // 2
-    c3, c4 = _psi3_psi4(lambda a, b: a * b % p, x, E.A, E.B, p)
+    c3, c4 = _psi3_psi4(x, E.A, E.B, p)
     psi = [p - 1, 0, 1, 2, c3, c4, *_int_base(c3, c4, w2, p, half)]
     bill = _BASE_BILLS[k]
     # no entry reads psi_{-1} or psi_0 = 0
@@ -265,8 +263,8 @@ def eval_division_poly(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation over many (A, B, x) ambients at once.  Same base
-# formula and chain as above, walked entry by entry over the plan on the
+# Vectorized evaluation over many (A, B, x) ambients at once.  Same seed
+# and chain as above, walked entry by entry over the plan on the
 # coefficient kernel.  The largest intermediate is (p - 1)^2 + p (in g2),
 # below 2^32 for p < 2^16 and below 2^62 for p < 2^31.
 # ---------------------------------------------------------------------------
@@ -313,14 +311,13 @@ def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[bool, int, int], 
 
 
 class BatchAmbient:
-    """Vectorized F_p[y]/(y^2 - w) ambients on lanes of lane_dtype(p);
-    callers must exclude w = 0."""
+    """Vectorized F_p[y]/(y^2 - w) ambients on lanes of lane_dtype(p).  A, B
+    and x are arrays of residues in [0, p), which are cast, not reduced (as
+    every caller passes them), and callers must exclude w = 0."""
 
     def __init__(self, ctx: FpContext, A: np.ndarray, B: np.ndarray, x: np.ndarray):
-        p = ctx.p
-        self.p = p
-        dtype = lane_dtype(p)
-        self.A, self.B, self.x = (_rem(v, p).astype(dtype, copy=False) for v in (A, B, x))
+        self.p = p = ctx.p
+        self.A, self.B, self.x = (v.astype(lane_dtype(p), copy=False) for v in (A, B, x))
         x2 = _rem(self.x * self.x, p)
         w = _rem(_rem(x2 * self.x, p) + _rem(self.A * self.x, p) + self.B, p)
         self.w2 = _rem(w * w, p)
@@ -332,7 +329,7 @@ class BatchAmbient:
         k, top, steps = pruned_plan(ell)
         p = self.p
         win = [np.full_like(self.x, c) for c in (p - 1, 0, 1, 2)]
-        win.extend(_psi3_psi4(lambda a, b: _rem(a * b, p), self.x, self.A, self.B, p))
+        win.extend(_psi3_psi4(self.x, self.A, self.B, p))
         for entry in _BASE[:max(0, k + top - 4)]:
             win.append(_coef(win, entry, self.w2, p))
         win = win[k + 1:]

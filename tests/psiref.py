@@ -1,12 +1,13 @@
 """Ticked psi arithmetic in F_p[y]/(y^2 - w), for the tests only.
 
 Values are typed by their parity, c * y^parity, every product goes through
-`mul` and ticks the counter, and psi_ell is also available by the naive
-O(ell) recurrence.  The package's billed walk (`divpoly.eval_division_poly`)
-computes each entry in plain ints reduced once, bills each step by the
-plan's closed form or, where a psi vanishes, each entry by rule, and
-returns only the coefficient; this module is the independent side its
-values and counts are checked against.
+`mul` and ticks the counter, psi_3 and psi_4 come from their own closed
+forms, not from the package's seed, and psi_ell is also available by the
+naive O(ell) recurrence.  The package's billed walk
+(`divpoly.eval_division_poly`) computes each entry in plain ints reduced
+once, bills each step by the plan's closed form or, where a psi vanishes,
+each entry by rule, and returns only the coefficient; this module is the
+independent side its values and counts are checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import _psi3_psi4, psi_entry
+from twistforge.divpoly import psi_entry
 from twistforge.fp_arith import FpContext, MultCounter
 
 
@@ -134,14 +135,24 @@ def psi_sequence(amb: Ambient, upto: int) -> list[TwistedValue]:
     """psi_{-1} .. psi_upto by the direct recurrence; entry [i] is psi_{i-1}.
 
     This is the naive O(l) evaluation used both to seed base windows and as
-    the reference the doubling schedule is checked against.
+    the reference the doubling schedule is checked against.  psi_3 and
+    psi_4 come from their closed forms, 5 ticks for psi_3 and 7 more for
+    psi_4, each billed only when upto reaches it.
     """
-    ctx, ctr = amb.ctx, amb.ctr
+    ctx, ctr, x, A, B = amb.ctx, amb.ctr, amb.x, amb.A, amb.B
+
+    def prod(a: int, b: int) -> int:
+        return mul(ctx, a, b, ctr)
+
     psi = [TwistedValue(ctx.p - 1, 0), TV_ZERO, TV_ONE, TwistedValue(2, 1)]
-    base = _psi3_psi4(lambda a, b: mul(ctx, a, b, ctr), amb.x, amb.A, amb.B, ctx.p)
-    # zip stops on the range first, so upto = 3 never bills psi_4's products
-    for m, c in zip(range(3, upto + 1), base):
-        psi.append(_tv(c, expected_parity(m)))
+    if upto >= 3:  # psi_3 = 3x^4 + 6Ax^2 + 12Bx - A^2
+        x2, bx, a2 = prod(x, x), prod(B, x), prod(A, A)
+        x4 = prod(x2, x2)
+        psi.append(_tv((3 * x4 + 6 * prod(A, x2) + 12 * bx - a2) % ctx.p, 0))
+    if upto >= 4:  # psi_4 = 4y (x^6 + 5Ax^4 + 20Bx^3 - 5A^2x^2 - 4ABx - 8B^2 - A^3)
+        c = (prod(x4, x2) + 5 * prod(A, x4) + 20 * prod(bx, x2) - 5 * prod(a2, x2)
+             - 4 * prod(A, bx) - 8 * prod(B, B) - prod(a2, A))
+        psi.append(_tv(4 * c % ctx.p, 1))
     for m in range(5, upto + 1):
         psi.append(_g(amb, psi, psi_entry(m, -1)))
     return psi[:upto + 2]

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistforge import curves, divpoly
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import _BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef, _int_base, _int_step
+from twistforge.divpoly import (
+    _BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef, _int_base, _int_step, _psi3_psi4,
+)
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -446,6 +448,34 @@ def test_int_base_matches_coef(p):
         for entry in _BASE:
             psi.append(_coef(psi, entry, w2, p))
         assert _int_base(c3, c4, w2, p, half) == psi[6:], (p, c3, c4, w2)
+
+
+@pytest.mark.parametrize("p", [101, 65521, 65537, 2**31 - 1])
+def test_psi3_psi4_matches_ticked_seed(p):
+    """The seed that both walks share is psiref's closed forms of psi_3 and
+    psi_4, on Python ints and on lanes of lane_dtype(p): uint32 at p = 101
+    and 65521, the largest prime below 2^16, int64 at 65537 and 2^31 - 1.
+    The residues are every triple of 0, 1 and p - 1, then random draws,
+    half of them near p, where the products are largest.  The reference
+    ticks 5 products for psi_3 and 12 for both."""
+    ctx = FpContext(p)
+    rng = random.Random(p)
+    rows = [list(r) for r in itertools.product((0, 1, p - 1), repeat=3)]
+    rows += [[rng.randrange(p) for _ in range(3)] for _ in range(100)]
+    rows += [[rng.randrange(p - 64, p) for _ in range(3)] for _ in range(100)]
+    want = []
+    for A, B, x in rows:
+        for upto, ticks in ((3, 5), (4, 12)):
+            amb = Ambient(ctx, WeierstrassCurve(A, B), x, MultCounter())
+            seed = psiref.psi_sequence(amb, upto)[4:]
+            assert amb.ctr.count == 3 + ticks, (p, A, B, x, upto)
+        want.append(tuple(v.c for v in seed))
+        assert _psi3_psi4(x, A, B, p) == want[-1], (p, A, B, x)
+    dtype = divpoly.lane_dtype(p)
+    A, B, x = (np.array(col, dtype=dtype) for col in zip(*rows))
+    lanes = _psi3_psi4(x, A, B, p)
+    assert all(c.dtype == dtype for c in lanes), p
+    assert list(zip(*(c.tolist() for c in lanes))) == want, p
 
 
 def test_step_bills_by_kind():

@@ -144,6 +144,35 @@ def test_batch_marked_matches_per_x_sweep(lab1009):
                     assert (got == want[first]).all(), (x + 1, sigma, "x = 0 survivors")
 
 
+@pytest.mark.parametrize("p", [65521, 65537])
+def test_batch_marked_wraps_at_the_lane_edge(p):
+    """On either side of the lane dtype switch, the largest prime on uint32
+    lanes and the first on int64 lanes, every class scans from a start in
+    (p - tau, p), so x0 + x passes p mid-scan and batch_G's reduction is
+    the only one the abscissae get (unreduced, they would overflow uint32
+    lanes): batch_G at each x0 + x and batch_marked in both modes match the
+    scalar G.  One sampled class has sigma points, so the strict_or sweep
+    marks it."""
+    ctx = FpContext(p)
+    A, B = curves.class_pairs(ctx)
+    rng = np.random.default_rng(p)
+    idx = rng.choice(len(A), 40, replace=False)
+    A, B = A[idx], B[idx]
+    cards = curves.count_points_batch(ctx, A, B)
+    s = SerialNumber(int(next(n for n in cards if n != p + 1)), p)
+    tau = default_tau(p)
+    starts = p - 1 - rng.integers(0, tau - 1, len(A))
+    g = np.array([[G(ctx, WeierstrassCurve(a, b), x0 + x, s, MultCounter()) for x in range(tau)]
+                  for a, b, x0 in zip(A.tolist(), B.tolist(), starts.tolist())])
+    for x in range(tau):
+        assert forgery.batch_G(ctx, A, B, starts + x, s).tolist() == g[:, x].tolist(), x
+    want = {"strict_or": ~g.any(axis=1), "paper_sum": g.sum(axis=1) % p == 0}
+    assert want["strict_or"].any()
+    for mode in forgery.MODES:
+        marked = forgery.batch_marked(ctx, A, B, s, OracleConfig(tau, mode), starts)
+        assert (marked == want[mode]).all(), mode
+
+
 @pytest.mark.parametrize("p", [101, 311, 1009])
 def test_batch_marked_rounds_fit_the_first_sweep(monkeypatch, p):
     """No strict_or round sweeps more lanes than the first sweep over every
