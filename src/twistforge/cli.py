@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One report per line on stdout (JSON by default, CSV with --output csv),
-diagnostics on stderr.  Exit codes: 0 success, 2 validation failure,
-1 internal error.  All integers in JSON output are decimal strings.
+diagnostics on stderr.  Exit codes: 0 success, 2 invalid input (an
+fp_arith.InvalidInput), 1 internal error (any other exception).  All
+integers in JSON output are decimal strings.
 """
 
 from __future__ import annotations
@@ -17,22 +18,11 @@ from functools import lru_cache
 
 from . import classnum, curves, estimator, forgery, scheme
 from .curves import CurveClass
-from .fp_arith import FpContext
-from .forgery import InvalidSerial, OracleConfig, SerialNumber
+from .fp_arith import FpContext, InvalidInput
+from .forgery import OracleConfig, SerialNumber
 
 CACHE_ENV = "TWISTFORGE_CACHE"
 TABLE_FIELDS = [f.name for f in dataclasses.fields(curves.CurveTableRow)]
-
-
-class UsageError(ValueError):
-    pass
-
-
-def _parse_prime(value: int) -> FpContext:
-    try:
-        return FpContext(value)
-    except ValueError:
-        raise UsageError(f"p must be a prime in [5, 2^31), got {value}") from None
 
 
 def _predicate_prime(value: int) -> FpContext:
@@ -41,34 +31,24 @@ def _predicate_prime(value: int) -> FpContext:
     divides sigma and exp(E^t) divides 2p + 2 - sigma).  Above 229
     Mestre's theorem rules that out for the predicate over all x, and the
     tests scan every prime from 31 to 229 at the default tau."""
-    ctx = _parse_prime(value)
+    ctx = FpContext(value)
     if ctx.p < 31:
-        raise UsageError(f"p must be >= 31 for the serial predicate, got {value}: "
-                         "below 31 a class can pass a sigma it does not have")
+        raise InvalidInput(f"p must be >= 31 for the serial predicate, got {value}: "
+                           "below 31 a class can pass a sigma it does not have")
     return ctx
 
 
-def _serial(ctx: FpContext, sigma: int) -> SerialNumber:
-    try:
-        return SerialNumber(sigma, ctx.p)
-    except InvalidSerial as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _config(ctx: FpContext, args) -> OracleConfig:
-    try:
-        return OracleConfig.for_prime(ctx.p, mode=args.mode, tau=args.tau)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return OracleConfig.for_prime(ctx.p, mode=args.mode, tau=args.tau)
 
 
 def _taus(text: str) -> list[int]:
     try:
         taus = [int(t) for t in text.split(",")]
     except ValueError:
-        raise UsageError(f"--taus must be comma-separated integers, got {text!r}") from None
+        raise InvalidInput(f"--taus must be comma-separated integers, got {text!r}") from None
     if min(taus) < 0:
-        raise UsageError(f"--taus must be >= 0, got {text!r}")
+        raise InvalidInput(f"--taus must be >= 0, got {text!r}")
     return taus
 
 
@@ -76,7 +56,7 @@ def _seed(value: int) -> int:
     """A --seed; random.Random(-s) is seeded like Random(s), so a negative
     seed would silently rerun s."""
     if value < 0:
-        raise UsageError(f"--seed must be >= 0, got {value}")
+        raise InvalidInput(f"--seed must be >= 0, got {value}")
     return value
 
 
@@ -117,7 +97,7 @@ def _cached_table(ctx: FpContext, path: str, with_structure: bool) -> list[dict]
 
 
 def cmd_enumerate(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
+    ctx = FpContext(args.p)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
@@ -148,11 +128,7 @@ def cmd_enumerate(args) -> list[dict]:
 
 
 def cmd_mint(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
-    try:
-        note = scheme.mint(ctx, _seed(args.seed))
-    except scheme.Exhausted as exc:
-        raise UsageError(str(exc)) from exc
+    note = scheme.mint(FpContext(args.p), _seed(args.seed))
     return [{
         "p": str(note.serial.p),
         "sigma": str(note.serial.sigma),
@@ -162,17 +138,17 @@ def cmd_mint(args) -> list[dict]:
 
 def cmd_check_serial(args) -> list[dict]:
     ctx = _predicate_prime(args.p)
-    s = _serial(ctx, args.sigma)
+    s = SerialNumber(args.sigma, ctx.p)
     c = CurveClass(args.j, args.b)
     if not (0 <= args.j < ctx.p and 0 <= args.b < curves.b_range(ctx, args.j)):
-        raise UsageError(f"(j={args.j}, b={args.b}) is not a legal class mod {ctx.p}")
+        raise InvalidInput(f"(j={args.j}, b={args.b}) is not a legal class mod {ctx.p}")
     bit = scheme.check_serial(ctx, c, s, _config(ctx, args))
     return [{"pass": str(bit)}]
 
 
 def cmd_forge_sim(args) -> list[dict]:
     ctx = _predicate_prime(args.p)
-    s = _serial(ctx, args.sigma)
+    s = SerialNumber(args.sigma, ctx.p)
     result = scheme.forge(ctx, s, _config(ctx, args), seed=_seed(args.seed))
     return [{
         "p": str(ctx.p),
@@ -187,8 +163,8 @@ def cmd_forge_sim(args) -> list[dict]:
 
 
 def cmd_classnum(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
-    s = _serial(ctx, args.sigma)
+    ctx = FpContext(args.p)
+    s = SerialNumber(args.sigma, ctx.p)
     rep = classnum.class_number_report(ctx.p, s.sigma, with_exact=not args.no_exact)
     fr = rep.frobenius
     return [{
@@ -209,7 +185,7 @@ def cmd_classnum(args) -> list[dict]:
 
 
 def cmd_bounds(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
+    ctx = FpContext(args.p)
     lo, hi = classnum.iteration_bounds(ctx.p)
     return [{
         "p": str(ctx.p),
@@ -236,18 +212,14 @@ def report_row(r: estimator.ResourceReport) -> dict[str, str]:
 
 
 def cmd_estimate(args) -> list[dict]:
-    try:
-        report = estimator.estimate(bits=args.bits, p=args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return [report_row(report)]
+    return [report_row(estimator.estimate(bits=args.bits, p=args.p))]
 
 
 def cmd_audit(args) -> list[dict]:
     ctx = _predicate_prime(args.p)
-    s = _serial(ctx, args.sigma)
+    s = SerialNumber(args.sigma, ctx.p)
     if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+        raise InvalidInput(f"--samples must be >= 1, got {args.samples}")
     rows = estimator.audit(ctx, s, _config(ctx, args),
                            sample_size=args.samples, seed=_seed(args.seed))
     return [{
@@ -259,11 +231,11 @@ def cmd_audit(args) -> list[dict]:
 
 
 def cmd_fp_experiment(args) -> list[dict]:
-    ctx = _parse_prime(args.p)
-    s = _serial(ctx, args.sigma)
+    ctx = FpContext(args.p)
+    s = SerialNumber(args.sigma, ctx.p)
     taus = _taus(args.taus) if args.taus is not None else [1, 2, 4, forgery.default_tau(ctx.p)]
     if args.trials < 0:  # 0 is the exhaustive run, which a negative count would silently rerun
-        raise UsageError(f"--trials must be >= 0, got {args.trials}")
+        raise InvalidInput(f"--trials must be >= 0, got {args.trials}")
     rows = forgery.false_positive_experiment(
         ctx, s, taus, trials=args.trials, seed=_seed(args.seed), mode=args.mode)
     return [{
@@ -332,7 +304,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         rows = args.fn(args)
-    except UsageError as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - map to exit 1 per contract

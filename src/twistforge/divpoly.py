@@ -231,8 +231,9 @@ def eval_division_poly(
     ticking every product counts: per run, the base window or a step, its
     zero-free bill (`_BASE_BILLS[k]`, or `_STEP_BILLS` of the step's kind)
     when no entry that the run reads or writes vanishes, which is the
-    common case, and otherwise `_entry_bill` over the run's table entries.  So a zero-free eval bills
-    3 + _BASE_BILLS[k] plus the `_STEP_BILLS` of its chain.
+    common case, and otherwise `_entry_bill` over the run's table entries.
+    So a zero-free eval bills 3 + _BASE_BILLS[k] plus the `_STEP_BILLS` of
+    its chain.
     """
     k, chain = _chain(ell)
     p = ctx.p

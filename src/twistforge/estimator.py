@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import classnum, curves, scheme
-from .fp_arith import FpContext, MultCounter
+from .fp_arith import FpContext, InvalidInput, MultCounter
 from .forgery import OracleConfig, SerialNumber
 
 ORACLE_MULTS_CONST = 1944  # per-oracle-call ceiling, F_p multiplications
@@ -41,16 +41,16 @@ def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
     bits must be the n of p."""
     if p is not None:
         if p <= 128:
-            raise ValueError(f"p must be > 128 (n >= 8 bits), got {p}")
+            raise InvalidInput(f"p must be > 128 (n >= 8 bits), got {p}")
         p_bits = (p - 1).bit_length()  # ceil(log2 p), which float log2 can round down
         if bits is not None and bits != p_bits:
-            raise ValueError(f"bits {bits} does not match p, which has n = {p_bits}")
+            raise InvalidInput(f"bits {bits} does not match p, which has n = {p_bits}")
         bits = p_bits
     elif bits is None:
-        raise ValueError("give bits or p")
+        raise InvalidInput("give bits or p")
     if not 8 <= bits <= 1021:
         # 4 * 2^n, inside the iteration bounds, overflows a float above n = 1021
-        raise ValueError(f"bits must be in [8, 1021], got {bits}")
+        raise InvalidInput(f"bits must be in [8, 1021], got {bits}")
     n = bits
     pv = float(p) if p is not None else 2.0**n
     it_lo, it_hi = classnum.iteration_bounds(pv, n)

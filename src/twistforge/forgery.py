@@ -18,28 +18,25 @@ import numpy as np
 from . import curves
 from .curves import CurveClass, NonResidueTable, WeierstrassCurve
 from .divpoly import BatchAmbient, eval_division_poly
-from .fp_arith import FpContext, MultCounter
+from .fp_arith import FpContext, InvalidInput, MultCounter
 
 MODES = ("paper_sum", "strict_or")
 
 
-class InvalidSerial(ValueError):
-    """sigma outside the punctured Hasse band 0 < |sigma - p - 1| <= 2 sqrt(p)."""
-
-
 @dataclass(frozen=True)
 class SerialNumber:
+    """sigma in the punctured Hasse band 0 < |sigma - p - 1| <= 2 sqrt(p)."""
+
     sigma: int
     p: int
 
     def __post_init__(self):
         t = self.sigma - self.p - 1
         if t == 0:
-            raise InvalidSerial(f"sigma = p+1 = {self.sigma} is excluded")
+            raise InvalidInput(f"sigma = p+1 = {self.sigma} is excluded")
         if t * t > 4 * self.p:
-            raise InvalidSerial(
-                f"sigma={self.sigma} outside the Hasse band around p+1={self.p + 1}"
-            )
+            raise InvalidInput(
+                f"sigma={self.sigma} outside the Hasse band around p+1={self.p + 1}")
 
     @property
     def twist_sigma(self) -> int:
@@ -57,9 +54,9 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+            raise InvalidInput("tau must be >= 1")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise InvalidInput(f"mode must be one of {MODES}")
 
     @classmethod
     def for_prime(cls, p: int, mode: str = "strict_or", tau: int | None = None) -> "OracleConfig":

@@ -3,12 +3,20 @@
 Every multiplication (squarings included) is billed to an explicit
 MultCounter; additions, subtractions and inversions are free.  This is the
 accounting unit the cost budgets elsewhere in the package are stated in.
+
+InvalidInput, the package's one input-error type, is what a check on a
+caller's argument (p, sigma, tau, a bit size) raises; the CLI maps it, and
+only it, to exit 2.
 """
 
 from __future__ import annotations
 
 # Desk-scale cap: everything fits in 64-bit intermediates.
 MAX_PRIME = 2**31
+
+
+class InvalidInput(ValueError):
+    """An argument outside what the package accepts; the CLI's exit 2."""
 
 
 class MultCounter:
@@ -51,9 +59,9 @@ class FpContext:
 
     def __init__(self, p: int):
         if not (5 <= p < MAX_PRIME):
-            raise ValueError(f"p must satisfy 5 <= p < 2**31, got {p}")
+            raise InvalidInput(f"p must satisfy 5 <= p < 2**31, got {p}")
         if p % 2 == 0 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+            raise InvalidInput(f"p must be an odd prime, got {p}")
         self.p = p
 
     def __repr__(self) -> str:

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 from . import classnum, curves, forgery, grover
 from .curves import CurveClass, NonResidueTable, WeierstrassCurve
-from .fp_arith import FpContext, MultCounter
+from .fp_arith import FpContext, InvalidInput, MultCounter
 from .forgery import OracleConfig, SerialNumber
-
-
-class Exhausted(RuntimeError):
-    """No acceptable serial was found within the retry cap."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ def mint(ctx: FpContext, seed: int) -> Banknote:
             s = SerialNumber(sigma, p)
             idx = forgery.fiber(ctx, A, B, s)
             return Banknote(s, tuple(curves.class_at(ctx, i) for i in idx.tolist()))
-    raise Exhausted(f"no acceptable sigma over F_{p} within the draw cap")
+    raise InvalidInput(f"no acceptable sigma over F_{p} within the draw cap")
 
 
 def check_serial(

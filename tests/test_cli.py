@@ -148,6 +148,17 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (rc, err) == (1, b"")
 
 
+def test_internal_error_exits_1(capsys, monkeypatch):
+    """A plain ValueError from the library is an internal error, not invalid
+    input: only fp_arith.InvalidInput exits 2."""
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli.scheme, "forge", boom)
+    rc, out, err = run(["forge-sim", "--p", "101", "--sigma", "103"], capsys)
+    assert (rc, out, err) == (1, "", "internal error: boom\n")
+
+
 def test_mint_and_check_serial(capsys):
     rc, out, _ = run(["mint", "--p", "101", "--seed", "0"], capsys)
     assert rc == 0

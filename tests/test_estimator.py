@@ -9,7 +9,7 @@ from twistforge.cli import report_row
 from twistforge.curves import NonResidueTable
 from twistforge.estimator import ORACLE_MULTS_CONST, QUBITS_CONST, estimate
 from twistforge.forgery import OracleConfig, SerialNumber
-from twistforge.fp_arith import MultCounter
+from twistforge.fp_arith import InvalidInput, MultCounter
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -30,19 +30,19 @@ def test_constants():
 
 
 def test_estimate_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         estimate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         estimate(bits=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         estimate(p=101)  # ceil(log2 101) = 7 < 8
     for bits in (1022, 1023, 1024):  # 4 * 2^n overflows a float
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             estimate(bits=bits)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         estimate(p=2**1021 + 1)
     for bits, p in ((1021, 3), (8, 1009)):  # p under the floor; n of 1009 is 10
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             estimate(bits=bits, p=p)
     assert estimate(bits=10, p=1009) == estimate(p=1009)
 

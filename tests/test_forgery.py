@@ -8,9 +8,9 @@ import pytest
 from twistforge import curves, forgery, scheme
 from twistforge.curves import CurveClass, WeierstrassCurve
 from twistforge.forgery import (
-    F, G, InvalidSerial, OracleConfig, SerialNumber, default_tau,
+    F, G, OracleConfig, SerialNumber, default_tau,
 )
-from twistforge.fp_arith import FpContext, MultCounter, is_prime
+from twistforge.fp_arith import FpContext, InvalidInput, MultCounter, is_prime
 
 from conftest import g_zero_fraction
 
@@ -19,11 +19,11 @@ def test_serial_validation():
     SerialNumber(103, 101)
     SerialNumber(82, 101)   # t = -20, t^2 = 400 <= 404
     SerialNumber(122, 101)  # t = +20
-    with pytest.raises(InvalidSerial):
+    with pytest.raises(InvalidInput):
         SerialNumber(102, 101)  # sigma = p + 1 excluded
-    with pytest.raises(InvalidSerial):
+    with pytest.raises(InvalidInput):
         SerialNumber(81, 101)   # t = -21 outside the band
-    with pytest.raises(InvalidSerial):
+    with pytest.raises(InvalidInput):
         SerialNumber(123, 101)
     assert SerialNumber(103, 101).twist_sigma == 101
 
@@ -35,9 +35,9 @@ def test_default_tau():
 
 
 def test_oracle_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         OracleConfig(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         OracleConfig(3, mode="xor")
     assert OracleConfig.for_prime(101).tau == 21
     assert OracleConfig.for_prime(101, tau=5).tau == 5

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from twistforge.fp_arith import FpContext, MultCounter, is_prime
+from twistforge.fp_arith import FpContext, InvalidInput, MultCounter, is_prime
 
 from psiref import mul
 
 
 def test_context_rejects_bad_moduli():
     for bad in (0, 1, 2, 3, 4, 9, 12, 2**31, 2**31 + 11):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             FpContext(bad)
     FpContext(5)
     FpContext(2**31 - 1)  # Mersenne prime, largest legal modulus

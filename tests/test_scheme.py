@@ -9,7 +9,7 @@ import pytest
 
 import twistforge
 from twistforge import classnum, curves, forgery, scheme
-from twistforge.fp_arith import FpContext, is_prime
+from twistforge.fp_arith import FpContext, InvalidInput, is_prime
 from twistforge.forgery import OracleConfig, SerialNumber
 
 
@@ -19,6 +19,12 @@ def test_mint_is_seed_deterministic(lab101):
     assert a == b
     c = scheme.mint(lab101.ctx, seed=1)
     assert isinstance(c, scheme.Banknote)
+
+
+def test_mint_without_acceptable_sigma_raises_invalid_input():
+    # no sigma over F_7 has a square-free Frobenius discriminant above 3p
+    with pytest.raises(InvalidInput, match="no acceptable sigma over F_7"):
+        scheme.mint(FpContext(7), 0)
 
 
 def test_mint_serial_is_accepted(lab101):
