@@ -16,11 +16,15 @@ system.  The billed scalar path works in Python's unbounded ints with two
 straight-line kernels, `_int_base` for the base window and `_int_step` for
 a step, which form each square and cube once and reduce each output once,
 since their largest product (about 155 bits below p = 2^31) costs less
-than a reduction per product.  The vectorised path walks `_BASE` and the
-table entries that later steps read (`pruned_plan`), each window dense,
-with one lane kernel (`_coef`) on arrays of lane_dtype(p), uint32 below
-p = 2^16 and int64 above, which must reduce after every product; no
-intermediate goes negative, so unsigned lanes never wrap.
+than a reduction per product.  Its bill is the walk's zero-free bill,
+cached for the two ell of a note (`_eval_plan`), less what the walk's
+zeros remove, from two deficit tables (`_OUT_DEFICIT`, `_IN_DEFICIT`)
+that one rule, `_entry_bill`, derives as it does the zero-free bills.
+The vectorised path walks `_BASE` and the table entries that later steps
+read (`pruned_plan`), each window dense, with one lane kernel (`_coef`) on
+arrays of lane_dtype(p), uint32 below p = 2^16 and int64 above, which must
+reduce after every product; no intermediate goes negative, so unsigned
+lanes never wrap.
 """
 
 from __future__ import annotations
@@ -176,11 +180,13 @@ def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
     return 7 if c else 5
 
 
-def _zero_free_bill(entries) -> int:
-    """The bill of a run of entries when nothing it reads or writes
-    vanishes."""
-    nonzero = (1,) * 16  # psi_{-1} .. psi_14, the longest run
-    return sum(_entry_bill(entry, nonzero, 1) for entry in entries)
+_NONZERO = (1,) * 16  # psi_{-1} .. psi_14, the longest run
+
+
+def _run_bill(entries, v=_NONZERO) -> int:
+    """The bill of a run of entries from the run v, by default one in which
+    nothing vanishes, into outputs that do not vanish."""
+    return sum(_entry_bill(entry, v, 1) for entry in entries)
 
 
 def _chain(ell: int) -> tuple[int, list[tuple[int, int]]]:
@@ -211,8 +217,32 @@ def _chain(ell: int) -> tuple[int, list[tuple[int, int]]]:
 _STEPS = tuple(tuple(tuple(psi_entry(2 * b + 4 + shift + i, b) for i in range(10))
                      for shift in (0, 1)) for b in (0, 1))
 _BASE = tuple(psi_entry(m, -1) for m in range(5, 15))
-_BASE_BILLS = tuple(12 + _zero_free_bill(_BASE[:k + 5]) for k in range(6))
-_STEP_BILLS = tuple(tuple(map(_zero_free_bill, kind)) for kind in _STEPS)
+_BASE_BILLS = tuple(12 + _run_bill(_BASE[:k + 5]) for k in range(6))
+_STEP_BILLS = tuple(tuple(map(_run_bill, kind)) for kind in _STEPS)
+# What a step bills below its kind's zero-free bill where a psi vanishes:
+# _OUT_DEFICIT[odd][shift][i] when output i does, and _IN_DEFICIT[odd][shift][j],
+# over every entry that reads slot j, when slot j alone of the input window
+# does.  An output zero and one input zero lower the bill independently, so
+# the two add; two input zeros need not (a g1 whose ya vanishes bills 6
+# whatever yb is), and a step with two bills entry by entry.
+_OUT_DEFICIT = tuple(tuple(tuple(_entry_bill(entry, _NONZERO, 1) - _entry_bill(entry, _NONZERO, 0)
+                                 for entry in kind) for kind in kinds) for kinds in _STEPS)
+_IN_DEFICIT = tuple(tuple(tuple(_run_bill(kind) - _run_bill(kind, (1,) * j + (0,) + (1,) * (9 - j))
+                                for j in range(10)) for kind in kinds) for kinds in _STEPS)
+
+
+@lru_cache(maxsize=2)  # the tau evals of one note walk sigma and 2p + 2 - sigma
+def _eval_plan(ell: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """The plan of the billed walk to psi_ell: k, the kind (b & 1, shift)
+    of each step of `_chain(ell)`, first to last, and the bill of the walk
+    when no psi in it vanishes, 3 for w + _BASE_BILLS[k] + the steps'
+    `_STEP_BILLS`."""
+    k, chain = _chain(ell)
+    kinds, bill = [], 3 + _BASE_BILLS[k]
+    for b, shift in chain:  # one pass: a counterfeit note's plan serves one or two evals
+        kinds.append((b & 1, shift))
+        bill += _STEP_BILLS[b & 1][shift]
+    return k, tuple(kinds), bill
 
 
 def eval_division_poly(
@@ -228,36 +258,42 @@ def eval_division_poly(
     The base window is `_int_base` (all of `_BASE`) cut to psi_k ..
     psi_{k+9}, and each step of the chain (`_chain`) one `_int_step`, all
     10 entries as the 80-per-bit budget bills them.  The bill is what
-    ticking every product counts: per run, the base window or a step, its
-    zero-free bill (`_BASE_BILLS[k]`, or `_STEP_BILLS` of the step's kind)
-    when no entry that the run reads or writes vanishes, which is the
-    common case, and otherwise `_entry_bill` over the run's table entries.
-    So a zero-free eval bills 3 + _BASE_BILLS[k] plus the `_STEP_BILLS` of
-    its chain.
+    ticking every product counts.  It starts from the walk's zero-free
+    bill, cached with its step kinds in `_eval_plan` for the two ell of a
+    note, and a run only touches it where a psi vanishes: the base window
+    then bills entry by entry by `_entry_bill`, and a step subtracts the
+    `_OUT_DEFICIT` of each vanishing output and the `_IN_DEFICIT` of a lone
+    vanishing input, or, with two or more inputs at 0, bills entry by
+    entry.  Each step scans only its new window for 0, since its input
+    window is the last step's output.
     """
-    k, chain = _chain(ell)
+    k, kinds, bill = _eval_plan(ell)
     p = ctx.p
     x %= p
-    ctr.tick(3)  # x^2, x^3 and A x, the products of w
     w = (x * x * x + E.A * x + E.B) % p
     if w == 0:
+        ctr.tick(3)  # x^2, x^3 and A x, the products of w
         raise ValueError(f"x={x} is a two-torsion abscissa on this curve")
     w2 = w * w % p
     half = (p + 1) // 2
     c3, c4 = _psi3_psi4(x, E.A, E.B, p)
     psi = [p - 1, 0, 1, 2, c3, c4, *_int_base(c3, c4, w2, p, half)]
-    bill = _BASE_BILLS[k]
     # no entry reads psi_{-1} or psi_0 = 0
     if 0 in psi[2:k + 11]:
-        bill = 12 + sum(_entry_bill(entry, psi, c) for entry, c in zip(_BASE[:k + 5], psi[6:]))
+        bill += 12 - _BASE_BILLS[k] + sum(_entry_bill(entry, psi, c)
+                                          for entry, c in zip(_BASE[:k + 5], psi[6:]))
     win = psi[k + 1:k + 11]
-    for b, shift in chain:
-        odd = b & 1
+    zero = 0 in win
+    for odd, shift in kinds:
         new = _int_step(win, odd, shift, w2, p, half)
-        if 0 in win or 0 in new:
-            bill += sum(_entry_bill(entry, win, c) for entry, c in zip(_STEPS[odd][shift], new))
-        else:
-            bill += _STEP_BILLS[odd][shift]
+        zero_in, zero = zero, 0 in new
+        if zero_in and win.count(0) > 1:
+            bill += sum(_entry_bill(entry, win, c)
+                        for entry, c in zip(_STEPS[odd][shift], new)) - _STEP_BILLS[odd][shift]
+        elif zero_in or zero:
+            bill -= sum(d for d, c in zip(_OUT_DEFICIT[odd][shift], new) if c == 0)
+            if zero_in:
+                bill -= _IN_DEFICIT[odd][shift][win.index(0)]
         win = new
     ctr.tick(bill)
     return win[0]

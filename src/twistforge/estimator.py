@@ -43,6 +43,8 @@ def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
         if p <= 128:
             raise InvalidInput(f"p must be > 128 (n >= 8 bits), got {p}")
         p_bits = (p - 1).bit_length()  # ceil(log2 p), which float log2 can round down
+        if p_bits > 1021:
+            raise InvalidInput(f"p must be <= 2^1021 (n <= 1021 bits), got n = {p_bits}")
         if bits is not None and bits != p_bits:
             raise InvalidInput(f"bits {bits} does not match p, which has n = {p_bits}")
         bits = p_bits

@@ -315,6 +315,17 @@ def test_usage_errors_exit_2(capsys):
         assert err.startswith("error: "), (argv, err)
 
 
+def test_estimate_names_p_beyond_its_range(capsys):
+    """A --p given alone is checked as p: n = 1022 is beyond the 1021-bit
+    cap, and the message names p, not the bits that were never given."""
+    rc, out, err = run(["estimate", "--p", str(2**1021 + 1)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: p must be <= 2^1021"), err
+    assert "bits must" not in err
+    rc, out, _ = run(["estimate", "--p", str(2**1021)], capsys)
+    assert rc == 0 and lines(out)[0]["bits"] == "1021"
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize("argv", [
     ["check-serial", "--p", "2147483647", "--sigma", "2147483000", "--j", "5", "--b", "0"],

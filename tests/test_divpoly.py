@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twistforge import curves, divpoly
-from twistforge.curves import WeierstrassCurve
+from twistforge import curves, divpoly, scheme
+from twistforge.curves import CurveClass, NonResidueTable, WeierstrassCurve
 from twistforge.divpoly import (
-    _BASE, _BASE_BILLS, _STEP_BILLS, _STEPS, _coef, _int_base, _int_step, _psi3_psi4,
+    _BASE, _BASE_BILLS, _IN_DEFICIT, _OUT_DEFICIT, _STEP_BILLS, _STEPS, _coef, _entry_bill,
+    _int_base, _int_step, _psi3_psi4,
 )
+from twistforge.forgery import OracleConfig, SerialNumber
 from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
@@ -283,7 +285,9 @@ def test_cost_budget_eval():
 def _ticked_walk(ctx, E, x, ell, seen):
     """psi_ell and its count by the walk on TwistedValues, with Ambient
     ticking every product; seen collects 'zero in' when an entry reads a
-    vanishing psi at an even index and 'zero out' when one vanishes."""
+    vanishing psi at an even index, 'zero out' when one vanishes, and
+    'zeros in' when a step's input window holds two or more zeros, the
+    case that the billed walk bills entry by entry."""
     k, chain = divpoly._chain(ell)
     amb = Ambient(ctx, E, x, MultCounter())
 
@@ -300,6 +304,8 @@ def _ticked_walk(ctx, E, x, ell, seen):
 
     win = psiref.psi_sequence(amb, k + 9)[k + 1:]
     for b, shift in chain:
+        if sum(v.c == 0 for v in win) > 1:
+            seen.add("zeros in")
         win = [g(win, b, entry) for entry in _STEPS[b & 1][shift]]
     return win[0], amb.ctr.count
 
@@ -351,7 +357,7 @@ def test_eval_bills_as_ticked_walk(p):
                 assert ctr.count <= 80 * max(1, (ell - 1).bit_length()), (E, x, ell)
                 closed += 1
     if p < 200:
-        assert seen == {"zero in", "zero out"}
+        assert seen == {"zero in", "zero out", "zeros in"}
     else:
         assert closed == 3 * len(ells)
     x, A = rng.randrange(p), rng.randrange(p)
@@ -485,6 +491,60 @@ def test_step_bills_by_kind():
     assert sorted(kinds) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for (odd, shift), steps in kinds.items():
         assert {bill for *_, bill in steps} == {_STEP_BILLS[odd][shift]}, (odd, shift)
+
+
+def test_deficit_tables_are_the_entry_bill():
+    """Each deficit is what `_entry_bill`, the one bill rule, drops from a
+    step's zero-free bill: `_OUT_DEFICIT[odd][shift][i]` where output i
+    alone vanishes, `_IN_DEFICIT[odd][shift][j]` where input slot j alone
+    does.  With at most one input zero the deficits add, for every set of
+    vanishing outputs; two input zeros can break that, which is why the
+    billed walk bills such a step entry by entry."""
+    nonzero = (1,) * 10
+
+    def one_zero(j):
+        return nonzero[:j] + (0,) + nonzero[j + 1:]
+
+    unadditive = set()
+    for odd, shift in itertools.product((0, 1), repeat=2):
+        kind, full = _STEPS[odd][shift], _STEP_BILLS[odd][shift]
+        out_deficit, in_deficit = _OUT_DEFICIT[odd][shift], _IN_DEFICIT[odd][shift]
+
+        def bill(v, out):
+            return sum(_entry_bill(entry, v, c) for entry, c in zip(kind, out))
+
+        assert bill(nonzero, nonzero) == full
+        for i in range(10):
+            assert out_deficit[i] == full - bill(nonzero, one_zero(i)), (odd, shift, i)
+            assert in_deficit[i] == full - bill(one_zero(i), nonzero), (odd, shift, i)
+        for j, out in itertools.product(range(-1, 10), itertools.product((0, 1), repeat=10)):
+            v = nonzero if j < 0 else one_zero(j)
+            drop = sum(d for d, c in zip(out_deficit, out) if c == 0)
+            drop += 0 if j < 0 else in_deficit[j]
+            assert bill(v, out) == full - drop, (odd, shift, j, out)
+        for j1, j2 in itertools.combinations(range(10), 2):
+            v = tuple(int(m not in (j1, j2)) for m in range(10))
+            if bill(v, nonzero) != full - in_deficit[j1] - in_deficit[j2]:
+                unadditive.add((odd, shift))
+    assert unadditive == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_one_note_builds_at_most_two_plans(monkeypatch):
+    """The tau = 63 evals of a genuine note at p = 2^20 + 7 walk sigma or
+    its twist 2p + 2 - sigma, so the billed walk builds at most two chains,
+    and its plan cache is bounded at those two: an ell-keyed cache of 256
+    plans missed 1392 times over one pass of the verify workload."""
+    p = 2**20 + 7
+    ctx, c, cfg = FpContext(p), CurveClass(5, 0), OracleConfig.for_prime(p)
+    assert cfg.tau == 63
+    sigma = curves.count_points(ctx, curves.get_weierstrass_pair(ctx, c, NonResidueTable.for_prime(ctx)))
+    chains = []
+    chain = divpoly._chain
+    monkeypatch.setattr(divpoly, "_chain", lambda ell: chains.append(ell) or chain(ell))
+    divpoly._eval_plan.cache_clear()
+    assert scheme.check_serial(ctx, c, SerialNumber(sigma, p), cfg) == 1
+    assert 1 <= len(chains) <= 2, chains
+    assert divpoly._eval_plan.cache_info().maxsize == 2
 
 
 def test_batch_matches_scalar():
