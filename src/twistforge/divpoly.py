@@ -20,11 +20,13 @@ than a reduction per product.  Its bill is the walk's zero-free bill,
 cached for the two ell of a note (`_eval_plan`), less what the walk's
 zeros remove, from two deficit tables (`_OUT_DEFICIT`, `_IN_DEFICIT`)
 that one rule, `_entry_bill`, derives as it does the zero-free bills.
-The vectorised path walks `_BASE` and the table entries that later steps
-read (`pruned_plan`), each window dense, with one lane kernel (`_coef`) on
-arrays of lane_dtype(p), uint32 below p = 2^16 and int64 above, which must
-reduce after every product; no intermediate goes negative, so unsigned
-lanes never wrap.
+The vectorised path works on arrays of lane_dtype(p), uint32 below
+p = 2^16 and int64 above, which must reduce after every product; no
+intermediate goes negative, so unsigned lanes never wrap.  It walks the
+lanes in chunks of `_ROW_BYTES`, so that a chunk's window stays in cache:
+the base window entry by entry with one lane kernel (`_coef`), then each
+step as one 2-D kernel (`_lane_step`, `_int_step` on row slices) over the
+run of outputs that the next step reads (`pruned_plan`).
 """
 
 from __future__ import annotations
@@ -301,9 +303,10 @@ def eval_division_poly(
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation over many (A, B, x) ambients at once.  Same seed
-# and chain as above, walked entry by entry over the plan on the
-# coefficient kernel.  The largest intermediate is (p - 1)^2 + p (in g2),
-# below 2^32 for p < 2^16 and below 2^62 for p < 2^31.
+# and chain as above, the base window made entry by entry and each step
+# as one kernel over the rows it keeps.  The largest intermediate is
+# (p - 1)^2 + p (in g2), below 2^32 for p < 2^16 and below 2^62 for
+# p < 2^31.
 # ---------------------------------------------------------------------------
 
 
@@ -324,27 +327,67 @@ def _vec_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-@lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
-def pruned_plan(ell: int) -> tuple[int, int, tuple[tuple[tuple[bool, int, int], ...], ...]]:
-    """The doubling plan of psi_ell, `_chain(ell)` over `_STEPS`, cut down
-    to the entries the walk needs, each window dense: k, top and the kept
-    entries of each step, first to last.
+def _lane_step(v, base: int, odd: int, shift: int, lo: int, hi: int, w2, p: int):
+    """Outputs lo .. hi - 1 of a doubling step of kind `_STEPS[odd][shift]`
+    from the rows v of lanes, which hold window slots base, base + 1, ...,
+    the slots those outputs read: `_int_step` on row slices, with every
+    product reduced as in `_coef`.  The kept g1 outputs a read v[o..o+3] and
+    the kept g2 outputs d v[o..o+4] for consecutive o, so the first and last
+    rows of v are never squared and the middle ones always are; a and d are
+    one 2-D expression each, written to alternate rows."""
+    kind = _STEPS[odd][shift]
+    first = 0 if kind[lo][0] else 1  # the row of the first g1 output
+    out = np.empty((hi - lo, v.shape[1]), v.dtype)
+    a, d = out[first::2], out[1 - first::2]
+    sq = _rem(v[1:-1] * v[1:-1], p)  # sq[i] = v[i + 1]^2
+    if len(a):
+        # a at o is v[o+3] c[o+1] - v[o] c[o+2], c[i] the cube of v[i] times
+        # w^2 where psi is even, at the window slots of odd's parity
+        o, n = kind[lo + first][1] - base, len(a)
+        cube = _rem(sq[o:o + n + 1] * v[o + 1:o + n + 2], p)
+        even = (odd + base + o + 1) & 1
+        cube[even::2] = _rem(cube[even::2] * w2, p)
+        a[:] = _rem(_rem(v[o + 3:o + n + 3] * cube[:n], p) + p - _rem(v[o:o + n] * cube[1:], p), p)
+    if len(d):
+        # d at o is (v[o+1]^2 v[o+4] - v[o] v[o+3]^2) v[o+2] / 2
+        o, n = kind[lo + 1 - first][1] - base, len(d)
+        inner = _rem(_rem(sq[o:o + n] * v[o + 4:o + n + 4], p) + p
+                     - _rem(v[o:o + n] * sq[o + 2:o + n + 2], p), p)
+        c = _rem(inner * v[o + 2:o + n + 2], p)
+        d[:] = (c + (c & 1) * p) >> 1
+    return out
 
-    Walking the steps backwards, the last keeps entry 0 only and each
-    earlier one the entries a later one reads; a kept entry's offset is
-    renumbered to its rank among the kept entries of the step before, so a
-    window holds only what was kept.  The first step reads the base window
-    psi_k .. psi_{k+top} as it is; with no step (ell <= 5) top is 0, for
+
+@lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
+def pruned_plan(ell: int) -> tuple[int, tuple[int, int], tuple[tuple[int, int, int, int], ...]]:
+    """The doubling plan of psi_ell, `_chain(ell)` over `_STEPS`, cut down
+    to the outputs the walk reads: k, the run [lo, hi) of the base window
+    psi_k .. psi_{k+9} that the first step reads, and each step's kind
+    (b & 1, shift) and the run [lo, hi) of its outputs that the next step
+    reads, first to last.
+
+    Walking the steps backwards, the last keeps output 0 only, psi_ell, and
+    each earlier one the slots from the lowest offset of the next step's
+    kept entries to the end of the highest one's read.  The kept entries
+    are consecutive and each reads 4 or 5 consecutive slots, so every slot
+    of the run is read.  With no step (ell <= 5) the base run is [0, 1),
     psi_ell itself.
     """
     k, chain = _chain(ell)
-    need, steps = [0], []
+    run, steps = (0, 1), []
     for b, shift in reversed(chain):
-        if steps:  # the later step reads this one's kept entries by rank
-            steps[-1] = tuple((is_g1, need.index(off), odd) for is_g1, off, odd in steps[-1])
-        steps.append(tuple(_STEPS[b & 1][shift][i] for i in need))
-        need = sorted({off + d for is_g1, off, _ in steps[-1] for d in range(4 if is_g1 else 5)})
-    return k, need[-1], tuple(reversed(steps))
+        steps.append((b & 1, shift, *run))
+        kept = _STEPS[b & 1][shift][slice(*run)]
+        run = (kept[0][1], max(off + (4 if is_g1 else 5) for is_g1, off, _ in kept))
+    return k, run, tuple(reversed(steps))
+
+
+# The bytes of one row of a chunk of BatchAmbient.eval: 2^13 uint32 or 2^12
+# int64 lanes.  A chunk's window then stays in cache through its walk, and
+# its 2-D temporaries took no page faults in a fresh process, where rows of
+# 2^16 bytes (2^13 int64 lanes) faulted on every step and lost to the
+# unchunked walk.
+_ROW_BYTES = 1 << 15
 
 
 class BatchAmbient:
@@ -360,16 +403,26 @@ class BatchAmbient:
         self.w2 = _rem(w * w, p)
 
     def eval(self, ell: int) -> np.ndarray:
-        """Coefficient array of psi_ell across all ambients: psi_{-1} ..
-        psi_4, then `_BASE` up to psi_{k+top}, cut to the window psi_k ..
-        psi_{k+top} that the first step of `pruned_plan(ell)` reads."""
-        k, top, steps = pruned_plan(ell)
-        p = self.p
-        win = [np.full_like(self.x, c) for c in (p - 1, 0, 1, 2)]
-        win.extend(_psi3_psi4(self.x, self.A, self.B, p))
-        for entry in _BASE[:max(0, k + top - 4)]:
-            win.append(_coef(win, entry, self.w2, p))
-        win = win[k + 1:]
-        for step in steps:
-            win = [_coef(win, entry, self.w2, p) for entry in step]
-        return win[0]
+        """Coefficient array of psi_ell across all ambients, walked over
+        `pruned_plan(ell)` in chunks of _ROW_BYTES of lanes."""
+        plan, chunk, out = pruned_plan(ell), _ROW_BYTES // self.x.itemsize, np.empty_like(self.x)
+        for lo in range(0, out.size, chunk):
+            out[lo:lo + chunk] = self._walk(plan, slice(lo, lo + chunk))
+        return out
+
+    def _walk(self, plan, lanes: slice) -> np.ndarray:
+        """psi_ell on the lanes of one chunk: psi_{-1} .. psi_4, `_BASE` up
+        to the end of the base run, stacked into the rows the first step
+        reads, then one `_lane_step` per step."""
+        k, (lo, hi), steps = plan
+        p, x, w2 = self.p, self.x[lanes], self.w2[lanes]
+        psi = [np.full_like(x, c) for c in (p - 1, 0, 1, 2)]
+        psi.extend(_psi3_psi4(x, self.A[lanes], self.B[lanes], p))
+        for entry in _BASE[:max(0, k + hi - 5)]:
+            psi.append(_coef(psi, entry, w2, p))
+        if not steps:
+            return psi[k + 1]
+        v = np.stack(psi[k + 1 + lo:k + 1 + hi])
+        for odd, shift, out_lo, out_hi in steps:
+            v, lo = _lane_step(v, lo, odd, shift, out_lo, out_hi, w2, p), out_lo
+        return v[0]

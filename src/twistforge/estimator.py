@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import classnum, curves, scheme
-from .fp_arith import FpContext, InvalidInput, MultCounter
+from .fp_arith import FpContext, InvalidInput, MultCounter, is_prime
 from .forgery import OracleConfig, SerialNumber
 
 ORACLE_MULTS_CONST = 1944  # per-oracle-call ceiling, F_p multiplications
@@ -38,13 +38,16 @@ class ResourceReport:
 
 def estimate(bits: int | None = None, p: int | None = None) -> ResourceReport:
     """Fill the resource table row for an n-bit prime; with both given,
-    bits must be the n of p."""
+    bits must be the n of p.  A given p must pass `is_prime`, which is
+    exact below 3.3 * 10^24 and a probable-prime test above."""
     if p is not None:
         if p <= 128:
             raise InvalidInput(f"p must be > 128 (n >= 8 bits), got {p}")
         p_bits = (p - 1).bit_length()  # ceil(log2 p), which float log2 can round down
         if p_bits > 1021:
             raise InvalidInput(f"p must be <= 2^1021 (n <= 1021 bits), got n = {p_bits}")
+        if not is_prime(p):
+            raise InvalidInput(f"p must be prime, got {p}")
         if bits is not None and bits != p_bits:
             raise InvalidInput(f"bits {bits} does not match p, which has n = {p_bits}")
         bits = p_bits

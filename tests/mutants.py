@@ -75,6 +75,35 @@ MUTANTS = [
            "return 8 if ya and yb else 7 if ya else 6",
            "return 8 if ya and yb else 8 if ya else 6",
            "tests/test_divpoly.py::test_eval_bills_as_ticked_walk"),
+    Mutant("w^2 moved from c6 onto c7 in _int_step's even branch", DIVPOLY,
+           "c2, c4, c6 = c2 * w2, c4 * w2, c6 * w2",
+           "c2, c4, c7 = c2 * w2, c4 * w2, c7 * w2",
+           "tests/test_divpoly.py::test_int_step_matches_int_coefs"),
+    Mutant("alpha_6 without its cube test", "src/twistforge/curves.py",
+           "if nonsquare(a) and pow(a, (p - 1) // 3, p) != 1)",
+           "if nonsquare(a))",
+           "tests/test_curves.py::test_nonresidue_table_properties"),
+    Mutant("group_structure without its two-torsion term", "src/twistforge/curves.py",
+           "torsion += two_torsion",
+           "torsion += 0",
+           "tests/test_curves.py::test_point_order_and_group_structure"),
+    # the lane walk: its 2-D step kernel and its chunks
+    Mutant("w^2 on the wrong parity of the lane cube rows", DIVPOLY,
+           "even = (odd + base + o + 1) & 1",
+           "even = (odd + base + o) & 1",
+           "tests/test_divpoly.py::test_batch_eval_matches_coef_walk[101]"),
+    Mutant("g1 and g2 outputs swapped in the lane interleave", DIVPOLY,
+           "a, d = out[first::2], out[1 - first::2]",
+           "d, a = out[first::2], out[1 - first::2]",
+           "tests/test_divpoly.py::test_batch_eval_matches_coef_walk[101]"),
+    Mutant("a step's read run one slot short after a g2 entry", DIVPOLY,
+           "max(off + (4 if is_g1 else 5) for",
+           "max(off + 4 for",
+           "tests/test_divpoly.py::test_pruned_plan_keeps_what_it_reads"),
+    Mutant("the last partial lane chunk dropped", DIVPOLY,
+           "for lo in range(0, out.size, chunk):",
+           "for lo in range(0, out.size - chunk + 1, chunk):",
+           "tests/test_divpoly.py::test_batch_eval_matches_coef_walk[101]"),
 ]
 
 

@@ -248,10 +248,17 @@ def test_estimate(capsys):
     for p in ("101", "0"):  # under 8 bits, and not positive
         rc, _, err = run(["estimate", "--p", p], capsys)
         assert rc == 2 and err.startswith("error:")
-    rc, _, _ = run(["estimate", "--p", "129"], capsys)
+    rc, _, _ = run(["estimate", "--p", "131"], capsys)
     assert rc == 0
     rc, out, _ = run(["estimate", "--bits", "10", "--p", "1009"], capsys)
     assert rc == 0 and lines(out)[0]["bits"] == "10"
+    # a composite p exits 2, a strong base-2 pseudoprime (2047 = 23 * 89) too
+    for p in ("1000", "2047"):
+        rc, out, err = run(["estimate", "--p", p], capsys)
+        assert (rc, out) == (2, "") and err == f"error: p must be prime, got {p}\n", (p, err)
+    for p, bits in ((1009, "10"), (2**127 - 1, "127")):
+        rc, out, _ = run(["estimate", "--p", str(p)], capsys)
+        assert rc == 0 and lines(out)[0]["bits"] == bits, p
 
 
 def test_audit(capsys):
@@ -322,7 +329,8 @@ def test_estimate_names_p_beyond_its_range(capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error: p must be <= 2^1021"), err
     assert "bits must" not in err
-    rc, out, _ = run(["estimate", "--p", str(2**1021)], capsys)
+    # the largest probable prime below 2^1021
+    rc, out, _ = run(["estimate", "--p", str(2**1021 - 553)], capsys)
     assert rc == 0 and lines(out)[0]["bits"] == "1021"
 
 

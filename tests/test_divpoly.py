@@ -203,21 +203,35 @@ def test_schedule_reaches_large_ell(ell):
     assert _walk_schedule(ell) == ell
 
 
+def _check_pruned_plan(ell):
+    """The batch path's plan is the full plan cut to one run of outputs per
+    step: every slot of the run that a step reads (the first step, of the
+    base window psi_k .. psi_{k+9}) is read by one of its kept entries, and
+    holds the psi that entry's recurrence reads.  The walk ends on psi_ell
+    alone."""
+    k, (lo, hi), steps = divpoly.pruned_plan(ell)
+    full_k, full = _symbolic_walk(ell)
+    assert k == full_k and 0 <= lo < hi <= 10 and len(steps) == len(full), ell
+    held = list(range(k + lo, k + hi))  # the m of each psi_m in the run read
+    for (odd, shift, out_lo, out_hi), (b, full_shift, entries, outputs) in zip(steps, full):
+        assert (odd, shift) == (b & 1, full_shift) and 0 <= out_lo < out_hi <= 10, ell
+        kept = entries[out_lo:out_hi]
+        read = {off + i for is_g1, off, _ in kept for i in range(4 if is_g1 else 5)}
+        assert read == set(range(lo, hi)), (ell, b)
+        held = [_made(held, (is_g1, off - lo, n_odd)) for is_g1, off, n_odd in kept]
+        assert held == outputs[out_lo:out_hi], (ell, b)
+        lo, hi = out_lo, out_hi
+    assert held == [ell] and (steps or (lo, hi) == (0, 1)), ell
+
+
 def test_pruned_plan_keeps_what_it_reads():
-    """The batch path's plan is the full plan cut to a subset of each step's
-    outputs, each window dense: every kept entry reads only ranks below the
-    previous step's kept count (the first step, the base window psi_k ..
-    psi_{k+top}), and those hold the psi its recurrence reads.  The walk
-    ends on psi_ell alone."""
     for ell in range(1, 4097):
-        k, top, steps = divpoly.pruned_plan(ell)
-        full_k, full = _symbolic_walk(ell)
-        assert k == full_k and top <= 9 and len(steps) == len(full)
-        held = list(range(k, k + top + 1))  # the m of each psi_m in the window
-        for keep, (*_, outputs) in zip(steps, full):
-            held = [_made(held, entry) for entry in keep]
-            assert held == sorted(set(held)) and set(held) <= set(outputs), ell
-        assert held == [ell]
+        _check_pruned_plan(ell)
+
+
+@given(st.integers(min_value=1, max_value=2**31 - 1))
+def test_pruned_plan_keeps_what_it_reads_at_large_ell(ell):
+    _check_pruned_plan(ell)
 
 
 def test_step_plan_matches_direct():
@@ -618,6 +632,56 @@ def test_batch_matches_scalar_at_uint32_limit(p, dtype, data):
     ba, got = _batch_matches_scalar_at(p, data)
     assert divpoly.lane_dtype(p) is dtype
     assert all(a.dtype == dtype for a in (ba.A, ba.B, ba.x, ba.w2, got))
+
+
+def _coef_walk(p, A, B, x, ell):
+    """psi_ell on lanes by `_coef` alone, entry by entry over all of `_BASE`
+    and each full step of `_chain(ell)` in `_STEPS`: the reference that
+    BatchAmbient.eval's chunks, runs and 2-D step kernel must reproduce."""
+    dtype = divpoly.lane_dtype(p)
+    A, B, x = (np.asarray(v, dtype=dtype) for v in (A, B, x))
+    w2 = np.array([pow(xi**3 + a * xi + b, 2, p) for a, b, xi in zip(A.tolist(), B.tolist(), x.tolist())],
+                  dtype=dtype)
+    psi = [np.full_like(x, c) for c in (p - 1, 0, 1, 2)]
+    psi.extend(_psi3_psi4(x, A, B, p))
+    for entry in _BASE:
+        psi.append(_coef(psi, entry, w2, p))
+    k, chain = divpoly._chain(ell)
+    win = psi[k + 1:k + 11]
+    for b, shift in chain:
+        win = [_coef(win, entry, w2, p) for entry in _STEPS[b & 1][shift]]
+    return win[0]
+
+
+@pytest.mark.parametrize("p", [101, 3001, 65521, 65537, 1000003, 2**31 - 1])
+def test_batch_eval_matches_coef_walk(p):
+    """BatchAmbient.eval equals the per-entry `_coef` walk for ell = 1 .. 79
+    and both ends of the Hasse band, on uint32 and int64 lanes, at lane
+    counts on both sides of every chunk edge: 1, 2^13 - 1, 2^13, 2^13 + 1
+    and 3 * 2^13 + 5 (chunks of 2^13 uint32 or 2^12 int64 lanes).  The
+    lanes repeat 61 drawn ambients, a period prime to the chunk, so a
+    chunk written to the wrong lanes differs; the draws include A = 0,
+    B = 0, x = 0 and residues near p."""
+    rng = random.Random(p)
+    rows = [(0, 1, 0), (0, 7, 3), (5, 0, 9), (p - 1, p - 1, p - 2)]
+    while len(rows) < 61:
+        A, B, x = (rng.randrange(p) if rng.random() < 0.5 else p - 1 - rng.randrange(64) for _ in range(3))
+        if (x**3 + A * x + B) % p:
+            rows.append((A, B, x))
+    assert all((x**3 + A * x + B) % p for A, B, x in rows), p
+    cols = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    chunk = divpoly._ROW_BYTES // np.dtype(divpoly.lane_dtype(p)).itemsize
+    assert chunk in (1 << 12, 1 << 13), chunk
+    hasse = math.isqrt(4 * p)
+    ells = [*range(1, 80), p + 1 - hasse, p + 1 + hasse]
+    want = {ell: _coef_walk(p, *cols, ell) for ell in ells}
+    ctx = FpContext(p)
+    for lanes in (1, 2**13 - 1, 2**13, 2**13 + 1, 3 * 2**13 + 5):
+        ba = divpoly.BatchAmbient(ctx, *(np.resize(col, lanes) for col in cols))
+        for ell in ells:
+            got = ba.eval(ell)
+            assert got.dtype == divpoly.lane_dtype(p) and got.shape == (lanes,), (p, lanes, ell)
+            assert np.array_equal(got, np.resize(want[ell], lanes)), (p, lanes, ell)
 
 
 @pytest.mark.parametrize("p", [101, 65537])

@@ -41,6 +41,9 @@ def test_estimate_validation():
             estimate(bits=bits)
     with pytest.raises(InvalidInput):
         estimate(p=2**1021 + 1)
+    for composite in (1000, 2047, 2**50, 2**1021):  # 2047 = 23 * 89 passes base 2
+        with pytest.raises(InvalidInput, match="p must be prime"):
+            estimate(p=composite)
     for bits, p in ((1021, 3), (8, 1009)):  # p under the floor; n of 1009 is 10
         with pytest.raises(InvalidInput):
             estimate(bits=bits, p=p)
@@ -48,11 +51,12 @@ def test_estimate_validation():
 
 
 def test_estimate_bits_of_p_are_exact():
-    """n = ceil(log2 p) in integers, at the edges of the float range."""
-    assert estimate(p=129).p_bits == 8
-    assert estimate(p=2**50).p_bits == 50
-    assert estimate(p=2**50 + 1).p_bits == 51  # float log2 rounds this to 50
-    for r in (estimate(bits=1021), estimate(p=2**1021)):
+    """n = ceil(log2 p) in integers, at the edges of the float range, for
+    the primes next to 2^7, 2^50, 2^64 and 2^1021."""
+    assert estimate(p=131).p_bits == 8
+    assert estimate(p=2**50 - 27).p_bits == 50
+    assert estimate(p=2**64 + 13).p_bits == 65  # float log2 rounds this to 64
+    for r in (estimate(bits=1021), estimate(p=2**1021 - 553)):
         assert r.p_bits == 1021
         values = (r.iterations_lower, r.iterations_upper, r.total_lower, r.total_upper)
         assert all(0 < v < math.inf for v in values)

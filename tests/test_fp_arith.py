@@ -24,6 +24,18 @@ def test_is_prime_small():
     assert not is_prime(1048581)
 
 
+def test_is_prime_past_its_strong_pseudoprimes():
+    """Miller-Rabin to the first 13 prime bases: 2047 = 23 * 89 is a strong
+    pseudoprime to base 2, 3215031751 to bases 2 .. 7 and
+    318665857834031151167461 to bases 2 .. 37, and each is composite;
+    the first that passes every base is 3.3 * 10^24, the bound above which
+    is_prime is a probable-prime test."""
+    assert not any(map(is_prime, (1000, 2047, 3215031751, 3825123056546413051,
+                                  318665857834031151167461)))
+    assert all(map(is_prime, (1009, 2**31 - 1, 2**61 - 1, 2**127 - 1)))
+    assert is_prime(1287836182261 * 2575672364521)  # 3317044064679887385961981
+
+
 def test_mul_counts():
     ctx = FpContext(11)
     ctr = MultCounter()
