@@ -9,7 +9,8 @@ recurrence (at most 8 counted multiplications), hence at most 80
 multiplications per doubling.  The plan of psi_l is its chain of window
 bases (`_chain`) over constant tables: each step is one of four kinds, the
 parity of its base times its shift, whose 10 entries are `_STEPS`, and the
-base window psi_5 .. psi_14 is `_BASE`.  Both backends walk the chain over
+base window psi_5 .. psi_14 is the step of kind (0, 1) from psi_0, `_BASE`,
+whose entries read outputs of their own.  Both backends walk the chain over
 these tables from one seed formula, `_psi3_psi4`, which takes ints and
 lanes alike with no callback, and past it with one kernel per number
 system.  The billed scalar path works in Python's unbounded ints with two
@@ -23,10 +24,11 @@ that one rule, `_entry_bill`, derives as it does the zero-free bills.
 The vectorised path works on arrays of lane_dtype(p), uint32 below
 p = 2^16 and int64 above, which must reduce after every product; no
 intermediate goes negative, so unsigned lanes never wrap.  It walks the
-lanes in chunks of `_ROW_BYTES`, so that a chunk's window stays in cache:
-the base window entry by entry with one lane kernel (`_coef`), then each
-step as one 2-D kernel (`_lane_step`, `_int_step` on row slices) over the
-run of outputs that the next step reads (`pruned_plan`).
+lanes in chunks of `_ROW_BYTES`, so that a chunk's window stays in cache,
+with one 2-D kernel (`_lane_step`, `_int_step` on row slices): the base
+window in rounds, each of the outputs that read only psi already made,
+then each step, each over the run of outputs that the next step reads
+(`pruned_plan`).
 """
 
 from __future__ import annotations
@@ -82,35 +84,11 @@ def _psi3_psi4(x, A, B, p):
     return c3, _rem(2 * inner, p)
 
 
-def _coef(v, entry: tuple[bool, int, int], w2, p: int):
-    """The coefficient that the psi_entry triple `entry` makes from the run
-    v of lane arrays, reduced after every product: g1, psi_{2n+1} from
-    psi_{n-1}..psi_{n+2} with w2 = w^2 on the side of the two even-index
-    factors that odd = n & 1 picks, or g2, psi_{2n} from psi_{n-2}..psi_{n+2}.
-    Every difference is taken after adding p, so unsigned lanes never wrap."""
-    is_g1, off, odd = entry
-    if is_g1:
-        c_nm1, c_n, c_np1, c_np2 = v[off:off + 4]
-        t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
-        t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
-        if odd:
-            t2 = _rem(t2 * w2, p)
-        else:
-            t1 = _rem(t1 * w2, p)
-        return _rem(t1 + p - t2, p)
-    # the division by psi_2 = 2y, c / (2y) = c y / (2w), carried as c / 2
-    # since callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
-    c_nm2, c_nm1, c_n, c_np1, c_np2 = v[off:off + 5]
-    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 + p - _rem(c_nm2 * _rem(c_np1 * c_np1, p), p), p)
-    c = _rem(inner * c_n, p)
-    return (c + (c & 1) * p) >> 1
-
-
 def _int_base(c3: int, c4: int, w2: int, p: int, half: int) -> list[int]:
     """The coefficients of psi_5 .. psi_14 that `_BASE` makes from
-    psi_{-1} .. psi_4 = -1, 0, 1, 2, c3, c4, in Python ints, each reduced
-    once; half = 1/2 mod p.  Each g1, at n = 2 .. 6, puts w^2 on the cube
-    of whichever of psi_n and psi_{n+1} has an even index, as `_coef`
+    psi_0 .. psi_4 = 0, 1, 2, c3, c4, in Python ints, each reduced once;
+    half = 1/2 mod p.  Each g1, at n = 2 .. 6, puts w^2 on the cube of
+    whichever of psi_n and psi_{n+1} has an even index, as `_int_step`
     does, and psi_1 = 1 and psi_2 = 2 are written in."""
     e2, e3, e4 = 8 * w2, c3 * c3 * c3, c4 * c4 * c4 * w2
     v5 = (c4 * e2 - e3) % p
@@ -131,10 +109,11 @@ def _int_base(c3: int, c4: int, w2: int, p: int, half: int) -> list[int]:
 def _int_step(v, odd: int, shift: int, w2: int, p: int, half: int) -> list[int]:
     """The 10 coefficients that one doubling step makes from the window
     v = psi_b .. psi_{b+9}, in Python ints, each reduced once; odd = b & 1
-    and the new base is 2b + 4 + shift.  This is `_coef` over
-    `_STEPS[odd][shift]`, written out: the g1 outputs read v[o..o+3]
-    for o = 1 .. 5 in both kinds, and the g2 outputs read v[o..o+4] for
-    o = shift .. shift + 4, so the squares and cubes are shared."""
+    and the new base is 2b + 4 + shift.  These are the entries of
+    `_STEPS[odd][shift]` written out: the g1 outputs read v[o..o+3] for
+    o = 1 .. 5 in both kinds, and the g2 outputs read v[o..o+4] for
+    o = shift .. shift + 4, so the squares and cubes are shared.  g2
+    divides c by psi_2 = 2y, c y / (2w), carried as c / 2 (w != 0)."""
     v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 = v
     s2, s3, s4, s5, s6, s7 = v2 * v2, v3 * v3, v4 * v4, v5 * v5, v6 * v6, v7 * v7
     c2, c3, c4, c5, c6, c7 = s2 * v2, s3 * v3, s4 * v4, s5 * v5, s6 * v6, s7 * v7
@@ -182,7 +161,7 @@ def _entry_bill(entry: tuple[bool, int, int], v, c: int) -> int:
     return 7 if c else 5
 
 
-_NONZERO = (1,) * 16  # psi_{-1} .. psi_14, the longest run
+_NONZERO = (1,) * 15  # psi_0 .. psi_14, the longest run
 
 
 def _run_bill(entries, v=_NONZERO) -> int:
@@ -213,12 +192,12 @@ def _chain(ell: int) -> tuple[int, list[tuple[int, int]]]:
 
 # Every step is one of four kinds, _STEPS[b & 1][shift]: the window based
 # at b makes psi_{2b+4+shift} .. psi_{2b+13+shift}, with offsets free of b
-# and parities fixed by b's.  _BASE makes psi_5 .. psi_14 from psi_{-1}; the
-# base window psi_5 .. psi_{k+9} is _BASE[:k + 5].  Their zero-free bills:
-# _BASE_BILLS[k], with the 12 of psi_3 and psi_4, and each kind's.
+# and parities fixed by b's.  _BASE, the kind (0, 1) read from psi_0, makes
+# psi_5 .. psi_14, and the base window psi_5 .. psi_{k+9} is _BASE[:k + 5].
+# Zero-free bills: _BASE_BILLS[k], with psi_3 and psi_4's 12, and each kind's.
 _STEPS = tuple(tuple(tuple(psi_entry(2 * b + 4 + shift + i, b) for i in range(10))
                      for shift in (0, 1)) for b in (0, 1))
-_BASE = tuple(psi_entry(m, -1) for m in range(5, 15))
+_BASE = _STEPS[0][1]
 _BASE_BILLS = tuple(12 + _run_bill(_BASE[:k + 5]) for k in range(6))
 _STEP_BILLS = tuple(tuple(map(_run_bill, kind)) for kind in _STEPS)
 # What a step bills below its kind's zero-free bill where a psi vanishes:
@@ -279,12 +258,12 @@ def eval_division_poly(
     w2 = w * w % p
     half = (p + 1) // 2
     c3, c4 = _psi3_psi4(x, E.A, E.B, p)
-    psi = [p - 1, 0, 1, 2, c3, c4, *_int_base(c3, c4, w2, p, half)]
-    # no entry reads psi_{-1} or psi_0 = 0
-    if 0 in psi[2:k + 11]:
+    psi = [0, 1, 2, c3, c4, *_int_base(c3, c4, w2, p, half)]
+    # no entry reads psi_0 = 0
+    if 0 in psi[1:k + 10]:
         bill += 12 - _BASE_BILLS[k] + sum(_entry_bill(entry, psi, c)
-                                          for entry, c in zip(_BASE[:k + 5], psi[6:]))
-    win = psi[k + 1:k + 11]
+                                          for entry, c in zip(_BASE[:k + 5], psi[5:]))
+    win = psi[k:k + 10]
     zero = 0 in win
     for odd, shift in kinds:
         new = _int_step(win, odd, shift, w2, p, half)
@@ -303,8 +282,8 @@ def eval_division_poly(
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation over many (A, B, x) ambients at once.  Same seed
-# and chain as above, the base window made entry by entry and each step
-# as one kernel over the rows it keeps.  The largest intermediate is
+# and chain as above, the base window in rounds and each step, each as
+# one kernel over the rows it keeps.  The largest intermediate is
 # (p - 1)^2 + p (in g2), below 2^32 for p < 2^16 and below 2^62 for
 # p < 2^31.
 # ---------------------------------------------------------------------------
@@ -331,7 +310,8 @@ def _lane_step(v, base: int, odd: int, shift: int, lo: int, hi: int, w2, p: int)
     """Outputs lo .. hi - 1 of a doubling step of kind `_STEPS[odd][shift]`
     from the rows v of lanes, which hold window slots base, base + 1, ...,
     the slots those outputs read: `_int_step` on row slices, with every
-    product reduced as in `_coef`.  The kept g1 outputs a read v[o..o+3] and
+    product reduced, each difference taken after adding p and c / 2 as
+    (c + p) >> 1 for odd c.  The kept g1 outputs a read v[o..o+3] and
     the kept g2 outputs d v[o..o+4] for consecutive o, so the first and last
     rows of v are never squared and the middle ones always are; a and d are
     one 2-D expression each, written to alternate rows."""
@@ -358,28 +338,44 @@ def _lane_step(v, base: int, odd: int, shift: int, lo: int, hi: int, w2, p: int)
     return out
 
 
+_Runs = tuple[tuple[int, int, int, int], ...]  # pruned_plan's rounds, or its steps
+
+
+def _read_run(kept) -> tuple[int, int]:
+    """The run [lo, hi) of slots that consecutive entries read, each 4 (g1)
+    or 5 (g2) slots from its offset; they overlap, so every slot is read."""
+    return kept[0][1], max(off + (4 if is_g1 else 5) for is_g1, off, _ in kept)
+
+
 @lru_cache(maxsize=256)  # one forge or census op evaluates a few ell many times
-def pruned_plan(ell: int) -> tuple[int, tuple[int, int], tuple[tuple[int, int, int, int], ...]]:
+def pruned_plan(ell: int) -> tuple[int, tuple[int, int], _Runs, _Runs]:
     """The doubling plan of psi_ell, `_chain(ell)` over `_STEPS`, cut down
     to the outputs the walk reads: k, the run [lo, hi) of the base window
-    psi_k .. psi_{k+9} that the first step reads, and each step's kind
+    psi_k .. psi_{k+9} that the first step reads, the rounds that make
+    psi_5 .. psi_{k+hi-1}, each the run [r_lo, r_hi) of psi it reads and
+    the run [lo, hi) of `_BASE` it makes, and each step's kind
     (b & 1, shift) and the run [lo, hi) of its outputs that the next step
     reads, first to last.
 
     Walking the steps backwards, the last keeps output 0 only, psi_ell, and
-    each earlier one the slots from the lowest offset of the next step's
-    kept entries to the end of the highest one's read.  The kept entries
-    are consecutive and each reads 4 or 5 consecutive slots, so every slot
-    of the run is read.  With no step (ell <= 5) the base run is [0, 1),
-    psi_ell itself.
+    each earlier one the `_read_run` of the next step's kept entries.  With
+    no step (ell <= 5) the base run is [0, 1), psi_ell itself.  The base
+    window reads its own outputs, so it is made in rounds: each takes, from
+    the first output not yet made, those that read only psi made before it.
     """
     k, chain = _chain(ell)
     run, steps = (0, 1), []
     for b, shift in reversed(chain):
         steps.append((b & 1, shift, *run))
-        kept = _STEPS[b & 1][shift][slice(*run)]
-        run = (kept[0][1], max(off + (4 if is_g1 else 5) for is_g1, off, _ in kept))
-    return k, run, tuple(reversed(steps))
+        run = _read_run(_STEPS[b & 1][shift][slice(*run)])
+    made, rounds, lo = k + run[1] - 5, [], 0
+    while lo < made:
+        hi = lo + 1
+        while hi < made and _read_run(_BASE[hi:hi + 1])[1] <= 5 + lo:
+            hi += 1
+        rounds.append((*_read_run(_BASE[lo:hi]), lo, hi))
+        lo = hi
+    return k, run, tuple(rounds), tuple(reversed(steps))
 
 
 # The bytes of one row of a chunk of BatchAmbient.eval: 2^13 uint32 or 2^12
@@ -411,18 +407,19 @@ class BatchAmbient:
         return out
 
     def _walk(self, plan, lanes: slice) -> np.ndarray:
-        """psi_ell on the lanes of one chunk: psi_{-1} .. psi_4, `_BASE` up
-        to the end of the base run, stacked into the rows the first step
-        reads, then one `_lane_step` per step."""
-        k, (lo, hi), steps = plan
+        """psi_ell on the lanes of one chunk: row i of v is psi_i, psi_0 ..
+        psi_4 from the seed and psi_5 .. psi_{k+hi-1} by the base rounds,
+        each one `_lane_step` of kind (0, 1) over the rows it reads, then
+        one `_lane_step` per step, the first over the base run's rows (with
+        no step, the base run is psi_ell's row alone)."""
+        k, (lo, hi), rounds, steps = plan
         p, x, w2 = self.p, self.x[lanes], self.w2[lanes]
-        psi = [np.full_like(x, c) for c in (p - 1, 0, 1, 2)]
-        psi.extend(_psi3_psi4(x, self.A[lanes], self.B[lanes], p))
-        for entry in _BASE[:max(0, k + hi - 5)]:
-            psi.append(_coef(psi, entry, w2, p))
-        if not steps:
-            return psi[k + 1]
-        v = np.stack(psi[k + 1 + lo:k + 1 + hi])
+        v = np.empty((max(5, k + hi), x.size), x.dtype)
+        v[0], v[1], v[2] = 0, 1, 2
+        v[3], v[4] = _psi3_psi4(x, self.A[lanes], self.B[lanes], p)
+        for r_lo, r_hi, out_lo, out_hi in rounds:
+            v[5 + out_lo:5 + out_hi] = _lane_step(v[r_lo:r_hi], r_lo, 0, 1, out_lo, out_hi, w2, p)
+        v = v[k + lo:k + hi]
         for odd, shift, out_lo, out_hi in steps:
             v, lo = _lane_step(v, lo, odd, shift, out_lo, out_hi, w2, p), out_lo
         return v[0]

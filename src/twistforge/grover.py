@@ -77,7 +77,7 @@ def run_search(
         raise ValueError(f"sigma={s.sigma} marks no class over F_{ctx.p}")
     v = evolve(marked, plan.iterations)
     success = float((v[marked] ** 2).sum())
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = np.random.default_rng(seed)
     probs = v**2
     sample = int(rng.choice(len(v), p=probs / probs.sum()))
     return SearchResult(success, curves.class_at(ctx, sample), plan.iterations)

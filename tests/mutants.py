@@ -104,6 +104,15 @@ MUTANTS = [
            "for lo in range(0, out.size, chunk):",
            "for lo in range(0, out.size - chunk + 1, chunk):",
            "tests/test_divpoly.py::test_batch_eval_matches_coef_walk[101]"),
+    # the base window's rounds on lanes
+    Mutant("the base rounds cut one output short", DIVPOLY,
+           "made, rounds, lo = k + run[1] - 5, [], 0",
+           "made, rounds, lo = k + run[1] - 6, [], 0",
+           "tests/test_divpoly.py::test_batch_eval_matches_coef_walk[101]"),
+    Mutant("base rounds (0, 1) and (1, 3) merged, reading psi_5 before it is made", DIVPOLY,
+           "_read_run(_BASE[hi:hi + 1])[1] <= 5 + lo:",
+           "_read_run(_BASE[hi:hi + 1])[1] <= 6 + lo:",
+           "tests/test_divpoly.py::test_pruned_plan_keeps_what_it_reads"),
 ]
 
 

@@ -7,7 +7,9 @@ naive O(ell) recurrence.  The package's billed walk
 (`divpoly.eval_division_poly`) computes each entry in plain ints reduced
 once, bills each step by the plan's closed form or, where a psi vanishes,
 each entry by rule, and returns only the coefficient; this module is the
-independent side its values and counts are checked against.
+independent side its values and counts are checked against.  `_coef`
+makes one entry of a plan on Python ints or on lanes, reduced after every
+product: the reference of the package's straight-line and 2-D kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from twistforge.curves import WeierstrassCurve
-from twistforge.divpoly import psi_entry
+from twistforge.divpoly import _rem, psi_entry
 from twistforge.fp_arith import FpContext, MultCounter
 
 
@@ -129,6 +131,30 @@ def g2(amb: Ambient, v: tuple[TwistedValue, ...]) -> TwistedValue:
 def _g(amb: Ambient, v, entry: tuple[bool, int, int]) -> TwistedValue:
     is_g1, off, _ = entry
     return g1(amb, tuple(v[off:off + 4])) if is_g1 else g2(amb, tuple(v[off:off + 5]))
+
+
+def _coef(v, entry: tuple[bool, int, int], w2, p: int):
+    """The coefficient that the psi_entry triple `entry` makes from the run
+    v of lane arrays, reduced after every product: g1, psi_{2n+1} from
+    psi_{n-1}..psi_{n+2} with w2 = w^2 on the side of the two even-index
+    factors that odd = n & 1 picks, or g2, psi_{2n} from psi_{n-2}..psi_{n+2}.
+    Every difference is taken after adding p, so unsigned lanes never wrap."""
+    is_g1, off, odd = entry
+    if is_g1:
+        c_nm1, c_n, c_np1, c_np2 = v[off:off + 4]
+        t1 = _rem(_rem(c_np2 * _rem(c_n * c_n, p), p) * c_n, p)
+        t2 = _rem(_rem(c_nm1 * _rem(c_np1 * c_np1, p), p) * c_np1, p)
+        if odd:
+            t2 = _rem(t2 * w2, p)
+        else:
+            t1 = _rem(t1 * w2, p)
+        return _rem(t1 + p - t2, p)
+    # the division by psi_2 = 2y, c / (2y) = c y / (2w), carried as c / 2
+    # since callers exclude w = 0; c / 2 is c >> 1 after adding p to an odd c
+    c_nm2, c_nm1, c_n, c_np1, c_np2 = v[off:off + 5]
+    inner = _rem(_rem(c_nm1 * c_nm1, p) * c_np2 + p - _rem(c_nm2 * _rem(c_np1 * c_np1, p), p), p)
+    c = _rem(inner * c_n, p)
+    return (c + (c & 1) * p) >> 1
 
 
 def psi_sequence(amb: Ambient, upto: int) -> list[TwistedValue]:

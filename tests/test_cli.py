@@ -206,6 +206,16 @@ def test_forge_sim_deterministic(capsys):
     assert a == b
 
 
+def test_seed_beyond_64_bits(capsys):
+    """A seed is any int >= 0: every seeded command takes 2^64, one past
+    what a uint64 holds, and runs."""
+    oracle = ["--p", "101", "--sigma", "103"]
+    for argv in (["mint", "--p", "101"], ["forge-sim", *oracle], ["audit", *oracle],
+                 ["fp-experiment", *oracle]):
+        rc, out, err = run([*argv, "--seed", str(2**64)], capsys)
+        assert (rc, err) == (0, "") and out, argv
+
+
 @pytest.mark.parametrize("p", [31, 37, 101, 229, 1009])
 def test_forge_sim_support_is_the_kronecker_class_number(p, capsys):
     """At sigma the scheme does not accept, as at those it does, the forged

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from twistforge import curves, divpoly, scheme
 from twistforge.curves import CurveClass, NonResidueTable, WeierstrassCurve
 from twistforge.divpoly import (
-    _BASE, _BASE_BILLS, _IN_DEFICIT, _OUT_DEFICIT, _STEP_BILLS, _STEPS, _coef, _entry_bill,
+    _BASE, _BASE_BILLS, _IN_DEFICIT, _OUT_DEFICIT, _STEP_BILLS, _STEPS, _entry_bill,
     _int_base, _int_step, _psi3_psi4,
 )
 from twistforge.forgery import OracleConfig, SerialNumber
@@ -17,7 +17,7 @@ from twistforge.fp_arith import FpContext, MultCounter
 
 import grouplaw
 import psiref
-from psiref import TV_ONE, TV_ZERO, Ambient, ParityMismatch, TwistedValue
+from psiref import TV_ONE, TV_ZERO, Ambient, ParityMismatch, TwistedValue, _coef
 
 
 def make_ambient(p=101, A=2, B=3, x=5):
@@ -135,11 +135,11 @@ def _symbolic_walk(ell):
     base b: its entries are psi_entry's for them, and they are consecutive
     from the new base 2b + 4 + shift."""
     k, chain = divpoly._chain(ell)
-    held = list(range(-1, 5))  # psi_{-1} .. psi_4
+    held = list(range(5))  # psi_0 .. psi_4
     for entry in _BASE[:k + 5]:
         held.append(_made(held, entry))
-    assert held == list(range(-1, k + 10)), ell
-    held, steps = held[k + 1:], []
+    assert held == list(range(k + 10)), ell
+    held, steps = held[k:], []
     for b, shift in chain:
         new = 2 * b + 4 + shift
         assert held[0] == b and shift in (0, 1), (ell, b, shift)
@@ -164,9 +164,10 @@ def test_step_plan_worked_example():
     k, steps = _symbolic_walk(21)
     assert (k, [(b, shift) for b, shift, *_ in steps]) == (2, [(2, 0), (8, 1)])
     assert (_BASE_BILLS[k], *(_STEP_BILLS[b & 1][shift] for b, shift, *_ in steps)) == (67, 77, 78)
-    assert _BASE[:k + 5] == ((True, 2, 0), (False, 2, 1), (True, 3, 1), (False, 3, 0),
-                             (True, 4, 0), (False, 4, 1), (True, 5, 1))
-    assert _BASE == tuple(divpoly.psi_entry(m, -1) for m in range(5, 15))
+    assert _BASE[:k + 5] == ((True, 1, 0), (False, 1, 1), (True, 2, 1), (False, 2, 0),
+                             (True, 3, 0), (False, 3, 1), (True, 4, 1))
+    # the base window is the step of kind (0, 1) read from psi_0
+    assert _BASE is _STEPS[0][1] and _BASE == tuple(divpoly.psi_entry(m, 0) for m in range(5, 15))
     assert steps[1][2][:2] == ((True, 1, 0), (False, 1, 1))
     # psi_5 .. psi_13 and no step; 12 + 9 * 8 - 2 = 82
     assert _symbolic_walk(4) == (4, []) and _BASE_BILLS[4] == 82
@@ -203,13 +204,38 @@ def test_schedule_reaches_large_ell(ell):
     assert _walk_schedule(ell) == ell
 
 
+def _check_base_rounds(ell):
+    """The batch path's base rounds make psi_5 .. psi_{k+hi-1}, the base
+    window up to the end of the run the first step reads, in order and
+    nothing past it.  Row i of the walk is psi_i: each round reads exactly
+    the rows its entries of `_BASE` read, which hold the psi their
+    recurrences read, and only rows already made, psi_1 .. psi_4 by the
+    seed and the earlier rounds' outputs.  A round ends only where the next
+    entry reads a row it makes, so no two rounds could be one."""
+    k, (lo, hi), rounds, _ = divpoly.pruned_plan(ell)
+    made = 5  # psi_0 .. psi_4
+    for r_lo, r_hi, out_lo, out_hi in rounds:
+        assert out_lo == made - 5 < out_hi, (ell, rounds)
+        kept = _BASE[out_lo:out_hi]
+        read = {off + i for is_g1, off, _ in kept for i in range(4 if is_g1 else 5)}
+        assert read == set(range(r_lo, r_hi)) and 1 <= r_lo and r_hi <= made, (ell, rounds)
+        held = [_made(list(range(r_lo, r_hi)), (is_g1, off - r_lo, odd)) for is_g1, off, odd in kept]
+        assert held == list(range(made, made + out_hi - out_lo)), (ell, rounds)
+        if out_hi + 5 < k + hi:
+            is_g1, off, _ = _BASE[out_hi]
+            assert off + (4 if is_g1 else 5) > made, (ell, rounds)
+        made += out_hi - out_lo
+    assert made == max(5, k + hi), (ell, rounds)
+
+
 def _check_pruned_plan(ell):
     """The batch path's plan is the full plan cut to one run of outputs per
     step: every slot of the run that a step reads (the first step, of the
     base window psi_k .. psi_{k+9}) is read by one of its kept entries, and
     holds the psi that entry's recurrence reads.  The walk ends on psi_ell
-    alone."""
-    k, (lo, hi), steps = divpoly.pruned_plan(ell)
+    alone, and the base rounds make the base run (`_check_base_rounds`)."""
+    _check_base_rounds(ell)
+    k, (lo, hi), _, steps = divpoly.pruned_plan(ell)
     full_k, full = _symbolic_walk(ell)
     assert k == full_k and 0 <= lo < hi <= 10 and len(steps) == len(full), ell
     held = list(range(k + lo, k + hi))  # the m of each psi_m in the run read
@@ -227,11 +253,14 @@ def _check_pruned_plan(ell):
 def test_pruned_plan_keeps_what_it_reads():
     for ell in range(1, 4097):
         _check_pruned_plan(ell)
+    assert divpoly.pruned_plan(148)[2] == ((1, 5, 0, 1), (1, 6, 1, 3), (2, 8, 3, 7), (4, 9, 7, 9))
 
 
 @given(st.integers(min_value=1, max_value=2**31 - 1))
 def test_pruned_plan_keeps_what_it_reads_at_large_ell(ell):
     _check_pruned_plan(ell)
+
+
 
 
 def test_step_plan_matches_direct():
@@ -240,11 +269,11 @@ def test_step_plan_matches_direct():
     ref = psiref.psi_sequence(amb, 1010)
     for ell in (1, 5, 10, 11, 21, 202, 999):
         k, chain = divpoly._chain(ell)
-        psi = ref[:6]  # psi_{-1} .. psi_4
+        psi = ref[1:6]  # psi_0 .. psi_4
         for entry in _BASE[:k + 5]:
             psi.append(psiref._g(amb, psi, entry))
-        assert psi == ref[:k + 11], ell
-        win = psi[k + 1:]
+        assert psi == ref[1:k + 11], ell
+        win = psi[k:]
         for b, shift in chain:
             win = [psiref._g(amb, win, entry) for entry in _STEPS[b & 1][shift]]
             base = 2 * b + 4 + shift
@@ -454,7 +483,7 @@ def test_int_step_matches_int_coefs(p):
 @pytest.mark.parametrize("p", [101, 65537, 2**20 + 7, 2**31 - 1])
 def test_int_base_matches_coef(p):
     """The straight-line base window is the coefficient kernel on Python
-    ints over `_BASE` from psi_{-1} .. psi_4 = -1, 0, 1, 2, psi_3, psi_4: on
+    ints over `_BASE` from psi_0 .. psi_4 = 0, 1, 2, psi_3, psi_4: on
     random inputs, on inputs near p, where the products are largest, and
     with a 0 in each of psi_3, psi_4 and w^2."""
     rng = random.Random(p)
@@ -464,10 +493,10 @@ def test_int_base_matches_coef(p):
     for i in range(3):
         draws += [d[:i] + [0] + d[i + 1:] for d in draws[::20]]
     for c3, c4, w2 in draws:
-        psi = [p - 1, 0, 1, 2, c3, c4]
+        psi = [0, 1, 2, c3, c4]
         for entry in _BASE:
             psi.append(_coef(psi, entry, w2, p))
-        assert _int_base(c3, c4, w2, p, half) == psi[6:], (p, c3, c4, w2)
+        assert _int_base(c3, c4, w2, p, half) == psi[5:], (p, c3, c4, w2)
 
 
 @pytest.mark.parametrize("p", [101, 65521, 65537, 2**31 - 1])
@@ -642,12 +671,12 @@ def _coef_walk(p, A, B, x, ell):
     A, B, x = (np.asarray(v, dtype=dtype) for v in (A, B, x))
     w2 = np.array([pow(xi**3 + a * xi + b, 2, p) for a, b, xi in zip(A.tolist(), B.tolist(), x.tolist())],
                   dtype=dtype)
-    psi = [np.full_like(x, c) for c in (p - 1, 0, 1, 2)]
+    psi = [np.full_like(x, c) for c in (0, 1, 2)]
     psi.extend(_psi3_psi4(x, A, B, p))
     for entry in _BASE:
         psi.append(_coef(psi, entry, w2, p))
     k, chain = divpoly._chain(ell)
-    win = psi[k + 1:k + 11]
+    win = psi[k:k + 10]
     for b, shift in chain:
         win = [_coef(win, entry, w2, p) for entry in _STEPS[b & 1][shift]]
     return win[0]
@@ -655,13 +684,14 @@ def _coef_walk(p, A, B, x, ell):
 
 @pytest.mark.parametrize("p", [101, 3001, 65521, 65537, 1000003, 2**31 - 1])
 def test_batch_eval_matches_coef_walk(p):
-    """BatchAmbient.eval equals the per-entry `_coef` walk for ell = 1 .. 79
-    and both ends of the Hasse band, on uint32 and int64 lanes, at lane
-    counts on both sides of every chunk edge: 1, 2^13 - 1, 2^13, 2^13 + 1
-    and 3 * 2^13 + 5 (chunks of 2^13 uint32 or 2^12 int64 lanes).  The
-    lanes repeat 61 drawn ambients, a period prime to the chunk, so a
-    chunk written to the wrong lanes differs; the draws include A = 0,
-    B = 0, x = 0 and residues near p."""
+    """BatchAmbient.eval equals the per-entry `_coef` walk for ell = 1 .. 79,
+    the first ell <= 4096 of each k and base run of `pruned_plan`, so that
+    every cut of the base rounds runs, and both ends of the Hasse band, on
+    uint32 and int64 lanes, at lane counts on both sides of every chunk
+    edge: 1, 2^13 - 1, 2^13, 2^13 + 1 and 3 * 2^13 + 5 (chunks of 2^13
+    uint32 or 2^12 int64 lanes).  The lanes repeat 61 drawn ambients, a
+    period prime to the chunk, so a chunk written to the wrong lanes
+    differs; the draws include A = 0, B = 0, x = 0 and residues near p."""
     rng = random.Random(p)
     rows = [(0, 1, 0), (0, 7, 3), (5, 0, 9), (p - 1, p - 1, p - 2)]
     while len(rows) < 61:
@@ -673,7 +703,12 @@ def test_batch_eval_matches_coef_walk(p):
     chunk = divpoly._ROW_BYTES // np.dtype(divpoly.lane_dtype(p)).itemsize
     assert chunk in (1 << 12, 1 << 13), chunk
     hasse = math.isqrt(4 * p)
-    ells = [*range(1, 80), p + 1 - hasse, p + 1 + hasse]
+    first = {}
+    for ell in range(1, 4097):
+        k, run, *_ = divpoly.pruned_plan(ell)
+        first.setdefault((k, run), ell)
+    assert max(first.values()) == 148
+    ells = sorted({*range(1, 80), *first.values(), p + 1 - hasse, p + 1 + hasse})
     want = {ell: _coef_walk(p, *cols, ell) for ell in ells}
     ctx = FpContext(p)
     for lanes in (1, 2**13 - 1, 2**13, 2**13 + 1, 3 * 2**13 + 5):
