@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import dataclasses
 import json
+import math
 import os
 import sys
+from collections.abc import Iterable
 from functools import lru_cache
+
+import numpy as np
 
 from . import classnum, curves, estimator, forgery, scheme
 from .curves import CurveClass
@@ -22,7 +25,6 @@ from .fp_arith import FpContext, InvalidInput
 from .forgery import OracleConfig, SerialNumber
 
 CACHE_ENV = "TWISTFORGE_CACHE"
-TABLE_FIELDS = [f.name for f in dataclasses.fields(curves.CurveTableRow)]
 
 
 def _predicate_prime(value: int) -> FpContext:
@@ -60,43 +62,58 @@ def _seed(value: int) -> int:
     return value
 
 
-def _emit(rows: list[dict], fmt: str, fh=None) -> None:
-    """One JSON line per row, or a CSV table whose non-string cells (mint's
-    support) hold the same JSON as the JSON line; to fh, or else stdout."""
+def _emit(rows: Iterable[dict], fmt: str, fh=None) -> None:
+    """One JSON line per row, or a CSV table headed by the first row's keys, whose
+    non-string cells (mint's support) hold the JSON line's JSON; to fh or stdout."""
     fh = fh if fh is not None else sys.stdout
-    if fmt == "json":
-        for row in rows:
+    writer = None
+    for row in rows:
+        if fmt == "json":
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    elif rows:
-        writer = csv_mod.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows({k: v if isinstance(v, str) else json.dumps(v, sort_keys=True)
-                          for k, v in row.items()} for row in rows)
+            continue
+        if writer is None:
+            writer = csv_mod.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+        writer.writerow({k: v if isinstance(v, str) else json.dumps(v, sort_keys=True)
+                         for k, v in row.items()})
 
 
-def _cached_table(ctx: FpContext, path: str, with_structure: bool) -> list[dict] | None:
-    """The enumerate rows cached at path, each cell as str(int(cell)) so a hit
-    prints what a fresh run prints; None (with a warning) if malformed or unreadable."""
+def _table_rows(table: np.ndarray) -> Iterable[dict[str, str]]:
+    """enumerate's rows, made one at a time: each cell a decimal string."""
+    return (dict(zip(curves.TABLE_FIELDS, map(str, row))) for row in map(np.ndarray.tolist, table))
+
+
+def _cached_table(ctx: FpContext, path: str, with_structure: bool) -> np.ndarray | None:
+    """The curve table cached at path if it passes each check below, which
+    a fresh table does; None (with a warning) if not, or if unreadable."""
+    p, r = ctx.p, math.isqrt(4 * ctx.p)
     try:
         with open(path, newline="") as fh:
             header, *cells = list(csv_mod.reader(fh)) or [None]  # an empty file has no header
-        if header != TABLE_FIELDS:
+        if header != list(curves.TABLE_FIELDS):
             raise ValueError(f"unexpected curve-table header: {header}")
-        if any(len(row) != len(TABLE_FIELDS) for row in cells):
-            raise ValueError(f"curve-table rows must have {len(TABLE_FIELDS)} fields")
-        rows = [dict(zip(TABLE_FIELDS, [str(int(v)) for v in row])) for row in cells]
-        if len(rows) != curves.class_count(ctx):
-            raise ValueError(f"{len(rows)} rows, expected {curves.class_count(ctx)}")
-        if any((int(r["m"]) > 0) != with_structure for r in rows):  # m = 0 marks no structure
+        table, columns = np.array(cells, dtype=np.int64), curves.class_columns(ctx)
+        if table.shape != (len(columns), len(header)):
+            raise ValueError(f"a table of shape {table.shape}, not {(len(columns), len(header))}")
+        if not np.array_equal(table[:, :4], columns):
+            raise ValueError("(j, b, A, B) columns that are not the classes'")
+        if np.any((table[:, 5:] > 0) != with_structure):  # m = k = 0 marks no structure
             raise ValueError("group structure missing" if with_structure
                              else "unexpected group structure")
-    except (OSError, ValueError, csv_mod.Error) as exc:
+        j, b, _, _, n, m, k = table.T
+        i = np.flatnonzero(curves.twist_rows(p, j, b))  # each (j, 1) right after its (j, 0)
+        if np.any((n < p + 1 - r) | (n > p + 1 + r)) or np.any(n[i] + n[i - 1] != 2 * p + 2):
+            raise ValueError("a cardinality off the Hasse band or #E + #E^t = 2p + 2")
+        # with m | p - 1 and k <= #E, m^2 k stays inside int64 for p < 10^6
+        if with_structure and np.any(((p - 1) % m != 0) | (k > n) | (m * m * k != n)):
+            raise ValueError("a group shape with m not dividing p - 1 or m^2 k != #E")
+    except (OSError, ValueError, OverflowError, csv_mod.Error) as exc:
         print(f"warning: rebuilding cache file {path}: {exc}", file=sys.stderr)
         return None
-    return rows
+    return table
 
 
-def cmd_enumerate(args) -> list[dict]:
+def cmd_enumerate(args) -> Iterable[dict]:
     ctx = FpContext(args.p)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     path = None
@@ -105,11 +122,10 @@ def cmd_enumerate(args) -> list[dict]:
         suffix = "_nostructure" if args.no_structure else ""
         path = os.path.join(cache_dir, f"curves_p{ctx.p}{suffix}.csv")
         if os.path.exists(path):
-            rows = _cached_table(ctx, path, not args.no_structure)
-            if rows is not None:
-                return rows
-    rows = [{f: str(getattr(r, f)) for f in TABLE_FIELDS}
-            for r in curves.build_curve_table(ctx, with_structure=not args.no_structure)]
+            table = _cached_table(ctx, path, not args.no_structure)
+            if table is not None:
+                return _table_rows(table)
+    table = curves.build_curve_table(ctx, with_structure=not args.no_structure)
     if path:
         # the --output csv table, written beside path and renamed over it, so
         # a reader never sees a half-written file
@@ -117,14 +133,14 @@ def cmd_enumerate(args) -> list[dict]:
         try:
             os.makedirs(cache_dir, exist_ok=True)
             with open(tmp, "w", newline="") as fh:
-                _emit(rows, "csv", fh)
+                _emit(_table_rows(table), "csv", fh)
             os.replace(tmp, path)
         except OSError as exc:  # this run's table is still printed
             print(f"warning: not caching the table at {path}: {exc}", file=sys.stderr)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    return rows
+    return _table_rows(table)
 
 
 def cmd_mint(args) -> list[dict]:

@@ -134,16 +134,21 @@ def get_weierstrass_pair(
     return WeierstrassCurve(A, B)
 
 
+def _b_counts(ctx: FpContext) -> np.ndarray:
+    """b_range(ctx, j) at every j in [0, p), as int64."""
+    counts = np.full(ctx.p, 2, dtype=np.int64)
+    for j in (0, 1728 % ctx.p):  # the only j with a wider b-range
+        counts[j] = b_range(ctx, j)
+    return counts
+
+
 def class_pairs(ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) of every class as int64 arrays, in enumerate_classes order.
 
     get_weierstrass_pair in vector form (tested entry for entry); it bills
     nothing, since no caller measures the cost of a whole sweep's pairs.
     """
-    p, nr = ctx.p, NonResidueTable.for_prime(ctx)
-    counts = np.full(p, 2, dtype=np.int64)
-    for j in (0, 1728 % p):  # the only j with a wider b-range
-        counts[j] = b_range(ctx, j)
+    p, nr, counts = ctx.p, NonResidueTable.for_prime(ctx), _b_counts(ctx)
     # the b = 0 pair (3j, 2j) / (1728 - j) once per j, on p lanes, repeated
     # over the j's classes; every b-range is even, so the odd rows are b = 1,
     # the alpha_2-twist (and b = 3, 5 at j = 0, 1728, which are set below)
@@ -228,33 +233,33 @@ def group_structure(ctx: FpContext, E: WeierstrassCurve, n: int) -> tuple[int, i
     return m, n // (m * m)
 
 
-@dataclass(frozen=True)
-class CurveTableRow:
-    j: int
-    b: int
-    A: int
-    B: int
-    cardinality: int
-    m: int
-    k: int
+TABLE_FIELDS = ("j", "b", "A", "B", "cardinality", "m", "k")  # m = k = 0 without structure
 
 
-def build_curve_table(ctx: FpContext, with_structure: bool = True) -> list[CurveTableRow]:
-    """Ground truth for every class: (A, B), cardinality and group shape."""
+def class_columns(ctx: FpContext) -> np.ndarray:
+    """The table's first four columns, (j, b, A, B) in enumerate_classes order."""
+    j = np.repeat(np.arange(ctx.p, dtype=np.int64), _b_counts(ctx))
+    b = np.arange(j.size) - np.searchsorted(j, j)  # j ascends: its first row is b = 0
+    return np.stack((j, b, *class_pairs(ctx)), axis=1)
+
+
+def twist_rows(p: int, j: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows (j, 1) off j = 0, 1728: the alpha_2-twist of the row before."""
+    return (b == 1) & (j != 0) & (j != 1728 % p)
+
+
+def build_curve_table(ctx: FpContext, with_structure: bool = True) -> np.ndarray:
+    """Ground truth for every class, one int64 row of TABLE_FIELDS each."""
     p = ctx.p
-    A, B = class_pairs(ctx)
-    classes = enumerate_classes(ctx)
+    table = np.zeros((class_count(ctx), len(TABLE_FIELDS)), dtype=np.int64)
+    table[:, :4] = class_columns(ctx)
+    j, b, A, B, cards = table[:, :5].T
     # off j = 0, 1728 the class (j, 1) is the alpha_2-twist of (j, 0), the
     # class just before it, so only b = 0 is counted there
-    twist = np.array([c.b == 1 and c.j not in (0, 1728 % p) for c in classes])
-    cards = np.empty(A.size, dtype=np.int64)
+    twist = twist_rows(p, j, b)
     cards[~twist] = count_points_batch(ctx, A[~twist], B[~twist])
     cards[twist] = 2 * p + 2 - cards[np.flatnonzero(twist) - 1]
-    rows = []
-    for c, Ac, Bc, card in zip(classes, A.tolist(), B.tolist(), cards.tolist()):
-        if with_structure:
-            m, k = group_structure(ctx, WeierstrassCurve(Ac, Bc), card)
-        else:
-            m, k = 0, 0
-        rows.append(CurveTableRow(c.j, c.b, Ac, Bc, card, m, k))
-    return rows
+    if with_structure:
+        table[:, 5:] = [group_structure(ctx, WeierstrassCurve(Ac, Bc), n)
+                        for Ac, Bc, n in zip(A.tolist(), B.tolist(), cards.tolist())]
+    return table

@@ -113,6 +113,16 @@ MUTANTS = [
            "_read_run(_BASE[hi:hi + 1])[1] <= 5 + lo:",
            "_read_run(_BASE[hi:hi + 1])[1] <= 6 + lo:",
            "tests/test_divpoly.py::test_pruned_plan_keeps_what_it_reads"),
+    # the columnar curve table and its cache
+    Mutant("the twist mask without its j != 1728 term (quartic twists filled as quadratic)",
+           "src/twistforge/curves.py",
+           "(b == 1) & (j != 0) & (j != 1728 % p)",
+           "(b == 1) & (j != 0)",
+           "tests/test_curves.py::test_curve_table_cardinalities_match_direct_counts"),
+    Mutant("the cache reader without its (j, b, A, B) column check", "src/twistforge/cli.py",
+           "if not np.array_equal(table[:, :4], columns):",
+           "if False:",
+           "tests/test_cli.py::test_enumerate_rebuilds_broken_cache"),
 ]
 
 

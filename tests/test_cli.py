@@ -93,8 +93,19 @@ def test_enumerate_cache_serves_padded_integers_as_fresh(tmp_path, capsys, cell)
         assert (rc, out, err) == (0, fresh, "")
 
 
+def _edited(table: str, row: int, **cells) -> str:
+    """The CSV text table with the given cells of data row `row` replaced."""
+    rows = list(csv.DictReader(io.StringIO(table)))
+    rows[row].update(cells)
+    return "".join(",".join(r) + "\n" for r in [list(rows[0]), *map(dict.values, rows)])
+
+
 def test_enumerate_rebuilds_broken_cache(tmp_path, capsys):
+    """A cache file that is malformed, or whose table a fresh run would not
+    build, is rebuilt with one warning line; the rebuilt file is then
+    served without one."""
     rc, fresh, _ = run(["enumerate", "--p", "11"], capsys)
+    rc, table, _ = run(["--output", "csv", "enumerate", "--p", "11"], capsys)
     path = tmp_path / "curves_p11.csv"
     cache = ["--cache-dir", str(tmp_path)]
     header = "j,b,A,B,cardinality,m,k\n"
@@ -102,15 +113,34 @@ def test_enumerate_rebuilds_broken_cache(tmp_path, capsys):
     (tmp_path / "curves_p11_nostructure.csv").rename(path)
     stale = path.read_text()  # a no-structure table under the structure key
     # bad header, empty, a short row, too few rows, no group structure
-    for broken in ("j,b,A\n1,2,3\n", "", header + "0,0,0,1,12,1\n",
-                   header + "0,0,0,1,12,1,12\n", stale):
-        path.write_text(broken)
+    broken = ["j,b,A\n1,2,3\n", "", header + "0,0,0,1,12,1\n",
+              header + "0,0,0,1,12,1,12\n", stale]
+    # rows of the p = 11 table, each of which only one check rejects: a j, b,
+    # A or B that is not the class's; #(0, 0) = 99 (m = 1, k = 99) off the
+    # Hasse band 6 ... 18; #(3, 0) = 7 against #(3, 1) = 18, which breaks
+    # #E + #E^t = 24; k = 11 at #E = 12 (m^2 k != #E); m = 3, k = 1 at
+    # #E = 9 (3 does not divide 10); and a cell of 2^63, past int64
+    broken += [_edited(table, 2, j="2"), _edited(table, 0, b="1"),
+               _edited(table, 4, A="6"), _edited(table, 4, B="8"),
+               _edited(table, 0, cardinality="99", k="99"),
+               _edited(table, 6, cardinality="7", k="7"), _edited(table, 0, k="11"),
+               _edited(table, 9, m="3", k="1"), _edited(table, 0, B=str(2**63))]
+    for text in broken:
+        path.write_text(text)
         rc, out, err = run(["enumerate", "--p", "11"] + cache, capsys)
         assert rc == 0 and out == fresh
         assert len(err.splitlines()) == 1 and err.startswith("warning:")
         rc, out, err = run(["enumerate", "--p", "11"] + cache, capsys)
         assert rc == 0 and out == fresh and err == ""
     assert os.listdir(tmp_path) == ["curves_p11.csv"]  # no temp file left
+    # a no-structure table holds m = k = 0 in every row
+    rc, bare, _ = run(["enumerate", "--p", "11", "--no-structure"], capsys)
+    rc, bare_table, _ = run(["--output", "csv", "enumerate", "--p", "11", "--no-structure"],
+                            capsys)
+    (tmp_path / "curves_p11_nostructure.csv").write_text(_edited(bare_table, 3, k="5"))
+    rc, out, err = run(["enumerate", "--p", "11", "--no-structure"] + cache, capsys)
+    assert rc == 0 and out == bare
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
 
 
 def test_enumerate_prints_the_table_when_the_cache_cannot_be_written(tmp_path, capsys):

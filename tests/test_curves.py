@@ -234,12 +234,18 @@ def test_count_points_batch_chunk_boundaries(lab101, monkeypatch):
 
 def test_curve_table_cardinalities_match_direct_counts():
     """The table counts b = 0 and fills (j, 1) off j = 0, 1728 by the twist
-    relation; every row must still equal its own count."""
-    for p in (5, 7, 11, 13, 101, 499):
+    relation; every row must still equal its own count.  Its j and b
+    columns, made from the b-range counts, are enumerate_classes: p = 5, 7,
+    11, 13 and 109 take every residue of p mod 4 and of p mod 3."""
+    for p in (5, 7, 11, 13, 101, 109, 499):
         ctx = FpContext(p)
-        rows = curves.build_curve_table(ctx, with_structure=False)
-        direct = [curves.count_points(ctx, WeierstrassCurve(r.A, r.B)) for r in rows]
-        assert [r.cardinality for r in rows] == direct, p
+        table = curves.build_curve_table(ctx, with_structure=False)
+        assert table.dtype == np.int64 and table.shape == (curves.class_count(ctx), 7)
+        j, b, A, B, cards, m, k = table.T.tolist()
+        assert list(zip(j, b)) == [(c.j, c.b) for c in curves.enumerate_classes(ctx)], p
+        direct = [curves.count_points(ctx, WeierstrassCurve(*pair)) for pair in zip(A, B)]
+        assert cards == direct, p
+        assert not any(m + k), p  # no group structure
 
 
 @pytest.mark.parametrize("p", [*filter(is_prime, range(5, 44)), 101, 103, 307, 311, 313,
@@ -249,8 +255,8 @@ def test_census_is_the_kronecker_class_numbers(p):
     band, t = 0 and non-fundamental discriminants included, and none
     outside it: a check of the (j, b) map, the counts and the twist fill
     that shares nothing with the character sum."""
-    rows = curves.build_curve_table(FpContext(p), with_structure=False)
-    traces = Counter(p + 1 - r.cardinality for r in rows)
+    table = curves.build_curve_table(FpContext(p), with_structure=False)
+    traces = Counter((p + 1 - table[:, curves.TABLE_FIELDS.index("cardinality")]).tolist())
     band = range(-math.isqrt(4 * p), math.isqrt(4 * p) + 1)
     assert set(traces) <= set(band), p
     for t in band:
@@ -342,7 +348,7 @@ def test_j_invariant_rejects_singular():
 
 def test_curve_table_contents():
     ctx = FpContext(11)
-    for r in curves.build_curve_table(ctx):
-        E = WeierstrassCurve(r.A, r.B)
-        assert curves.count_points(ctx, E) == r.cardinality
-        assert r.m * r.m * r.k == r.cardinality
+    for j, b, A, B, n, m, k in curves.build_curve_table(ctx).tolist():
+        E = WeierstrassCurve(A, B)
+        assert curves.count_points(ctx, E) == n
+        assert m * m * k == n
